@@ -14,6 +14,10 @@ Five experiments, selected by ``ExperimentConfig.experiment``:
   package evaluates the flow discrepancy (see oracle.check_flow_identity);
   one row per random instance.
 
+The first four are Monte-Carlo sweeps and share one driver, ``run_sweep``:
+they differ only in the config field they sweep and in how a setting
+shapes a run's log (trajectory count, length, budget, behavior mixture).
+
 Config schema (JSON, ``config_version`` 1): a flat key/value tree whose
 keys mirror ``ExperimentConfig`` field names exactly, with two nested
 groups, ``"kernel"`` (KernelSpec fields) and ``"optimizer"``
@@ -73,10 +77,7 @@ __all__ = [
     "ResultRow",
     "build_config",
     "run_experiment",
-    "run_modelwin_horizon",
-    "run_control_rmse",
-    "run_sensitivity",
-    "run_bias_variance",
+    "run_sweep",
     "run_identity_check",
     "emit_outputs",
 ]
@@ -109,7 +110,6 @@ class KernelSpec:
     freeze that value for every setting and run of the experiment.
     """
 
-    kind: str = "rbf"
     bandwidth: float | None = None
     action_scale: float = 1.0
     percentile: float = 50.0
@@ -117,8 +117,6 @@ class KernelSpec:
     tuning_trajectories: int = 50
 
     def validate(self):
-        if self.kind not in ("rbf", "delta"):
-            raise ValueError(f"kernel kind must be rbf or delta, got {self.kind!r}")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("explicit bandwidth must be positive")
         if self.median_subsample < 2 or self.tuning_trajectories < 1:
@@ -323,7 +321,28 @@ def _row(config, agg, setting):
 
 
 # ---------------------------------------------------------------------------
-# Per-run workers (module level so process pools can pickle them)
+# The sweep driver and its per-run worker (module level so process pools
+# can pickle it)
+
+# the config field whose values each sweep experiment walks through
+_SWEEP_FIELD = {
+    "modelwin_horizon": "t_beh_sweep",
+    "bias_variance": "bias_variance_counts",
+    "control_rmse": "trajectory_counts",
+    "sensitivity": "alpha1_sweep",
+}
+
+
+def _run_shape(cfg, setting):
+    """(trajectories, length, total_budget, alpha1) of one run at `setting`;
+    alpha1 is None for the tabular ModelWin experiments."""
+    if cfg.experiment == "modelwin_horizon":
+        return -(-cfg.total_budget // setting), setting, cfg.total_budget, None  # ceil division
+    if cfg.experiment == "bias_variance":
+        return setting, cfg.bias_variance_length, None, None
+    if cfg.experiment == "control_rmse":
+        return setting, cfg.t_beh, None, cfg.alpha1
+    return cfg.sensitivity_trajectories, cfg.t_beh, None, setting
 
 
 def _map_tasks(worker, tasks, workers):
@@ -336,41 +355,6 @@ def _map_tasks(worker, tasks, workers):
 def _modelwin_policies(cfg):
     mdp = model_win(cfg.win_probability)
     return mdp, model_win_policy(cfg.behavior_q), model_win_policy(cfg.target_q)
-
-
-def _tabular_methods(cfg, dataset, behavior, target):
-    out = {}
-    for method in cfg.methods:
-        if method == "blackbox":
-            report = blackbox_estimate(dataset, target, config=cfg.optimizer)
-        elif method == "naive":
-            report = naive_average(dataset)
-        elif method == "model_based":
-            report = model_based_estimate(dataset, target, ridge=cfg.ridge)
-        elif method == "ips":
-            report = tabular_stationary_ips(dataset, behavior, target)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        out[method] = report.estimate
-    return out
-
-
-def _modelwin_run(task):
-    cfg = ExperimentConfig.from_dict(task["config"])
-    t_beh, num_traj, run = task["t_beh"], task["num_traj"], task["run"]
-    mdp, behavior, target = _modelwin_policies(cfg)
-    seed = derive_seed(cfg.base_seed, cfg.experiment, t_beh, run)
-    dataset = sample_dataset(mdp, behavior, num_traj, t_beh, seed, total_budget=cfg.total_budget)
-    return _tabular_methods(cfg, dataset, behavior, target)
-
-
-def _bias_variance_run(task):
-    cfg = ExperimentConfig.from_dict(task["config"])
-    count, run = task["count"], task["run"]
-    mdp, behavior, target = _modelwin_policies(cfg)
-    seed = derive_seed(cfg.base_seed, cfg.experiment, count, run)
-    dataset = sample_dataset(mdp, behavior, count, cfg.bias_variance_length, seed)
-    return _tabular_methods(cfg, dataset, behavior, target)
 
 
 def _control_setup(cfg, alpha1):
@@ -392,26 +376,36 @@ def _control_kernel(cfg, params):
     )
 
 
-def _control_run(task):
+def _sweep_run(task):
+    """Sample one run's log and return {method: estimate}."""
     cfg = ExperimentConfig.from_dict(task["config"])
-    count, alpha1, run = task["count"], task["alpha1"], task["run"]
-    env, behavior, target = _control_setup(cfg, alpha1)
-    kernel = _control_kernel(cfg, task["kernel"])
-    seed = derive_seed(cfg.base_seed, cfg.experiment, task["setting"], run)
-    dataset = sample_env_dataset(env, behavior, count, cfg.t_beh, seed)
-    dtype = np.float32 if cfg.optimizer.matrix_dtype == "float32" else np.float64
-    out = {}
-    for method in cfg.methods:
-        if method == "blackbox":
-            report = blackbox_estimate(dataset, target, kernel, cfg.optimizer, weight_model="mlp")
-        elif method == "naive":
-            report = naive_average(dataset)
-        elif method == "model_based":
-            report = model_based_estimate(dataset, target, kernel, ridge=cfg.ridge, dtype=dtype)
+    setting, run = task["setting"], task["run"]
+    count, length, budget, alpha1 = _run_shape(cfg, setting)
+    seed = derive_seed(cfg.base_seed, cfg.experiment, setting, run)
+    try:
+        if alpha1 is None:
+            mdp, behavior, target = _modelwin_policies(cfg)
+            dataset = sample_dataset(mdp, behavior, count, length, seed, total_budget=budget)
+            kernel, dtype = None, np.float64
         else:
-            raise ValueError(f"unknown method {method!r}")
-        out[method] = report.estimate
-    return out
+            env, behavior, target = _control_setup(cfg, alpha1)
+            dataset = sample_env_dataset(env, behavior, count, length, seed)
+            kernel = _control_kernel(cfg, task["kernel"])
+            dtype = np.dtype(cfg.optimizer.matrix_dtype).type
+        estimators = {
+            "blackbox": lambda: blackbox_estimate(dataset, target, kernel, cfg.optimizer),
+            "naive": lambda: naive_average(dataset),
+            "model_based": lambda: model_based_estimate(
+                dataset, target, kernel, ridge=cfg.ridge, dtype=dtype
+            ),
+            "ips": lambda: tabular_stationary_ips(dataset, behavior, target),
+        }
+        return {method: estimators[method]().estimate for method in cfg.methods}
+    except Exception as exc:
+        raise RuntimeError(
+            f"{cfg.experiment} failed at setting {setting!r}, run {run}, seed {seed}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _tune_control_kernel(cfg, env, behavior):
@@ -445,87 +439,34 @@ def _control_truth(cfg, env, target):
     return float(np.mean(values))
 
 
-def _aggregate_setting(config, results, setting, truth, rows):
-    """results: per-run {method: estimate} dicts in run order."""
-    for method in config.methods:
-        estimates = [res[method] for res in results]
-        rows.append(_row(config, aggregate(method, estimates, truth), setting))
-
-
-# ---------------------------------------------------------------------------
-# Experiment drivers
-
-
-def run_modelwin_horizon(config):
+def run_sweep(config):
+    """Run `monte_carlo_runs` seeded runs per value of the experiment's
+    swept field and aggregate each method against the ground truth,
+    which is computed once.  Returns (rows, extras)."""
     config.validate()
-    mdp, _, target = _modelwin_policies(config)
-    truth = exact_average_reward(mdp, target)
+    extras = {}
+    if config.experiment in ("modelwin_horizon", "bias_variance"):
+        mdp, _, target = _modelwin_policies(config)
+        extras["ground_truth"] = exact_average_reward(mdp, target)
+    else:
+        env, behavior, target = _control_setup(config, config.alpha1)
+        extras["ground_truth"] = _control_truth(config, env, target)
+        # hyperparameters are tuned once, on the reference behavior mixture,
+        # and frozen across the sweep: a sensitivity sweep then isolates the
+        # effect of the data distribution, not of re-tuning
+        extras["kernel"] = _tune_control_kernel(config, env, behavior)
     doc = config.to_dict()
     rows = []
-    for t_beh in config.t_beh_sweep:
-        num_traj = -(-config.total_budget // t_beh)  # ceil division
+    for setting in getattr(config, _SWEEP_FIELD[config.experiment]):
         tasks = [
-            {"config": doc, "t_beh": t_beh, "num_traj": num_traj, "run": run}
+            {"config": doc, "setting": setting, "kernel": extras.get("kernel"), "run": run}
             for run in range(config.monte_carlo_runs)
         ]
-        results = _map_tasks(_modelwin_run, tasks, config.workers)
-        _aggregate_setting(config, results, t_beh, truth, rows)
-    return rows, {"ground_truth": truth}
-
-
-def run_bias_variance(config):
-    config.validate()
-    mdp, _, target = _modelwin_policies(config)
-    truth = exact_average_reward(mdp, target)
-    doc = config.to_dict()
-    rows = []
-    for count in config.bias_variance_counts:
-        tasks = [
-            {"config": doc, "count": count, "run": run}
-            for run in range(config.monte_carlo_runs)
-        ]
-        results = _map_tasks(_bias_variance_run, tasks, config.workers)
-        _aggregate_setting(config, results, count, truth, rows)
-    return rows, {"ground_truth": truth}
-
-
-def run_control_rmse(config):
-    config.validate()
-    env, behavior, target = _control_setup(config, config.alpha1)
-    truth = _control_truth(config, env, target)
-    kernel_params = _tune_control_kernel(config, env, behavior)
-    doc = config.to_dict()
-    rows = []
-    for count in config.trajectory_counts:
-        tasks = [
-            {"config": doc, "count": count, "alpha1": config.alpha1,
-             "setting": count, "kernel": kernel_params, "run": run}
-            for run in range(config.monte_carlo_runs)
-        ]
-        results = _map_tasks(_control_run, tasks, config.workers)
-        _aggregate_setting(config, results, count, truth, rows)
-    return rows, {"ground_truth": truth, "kernel": kernel_params}
-
-
-def run_sensitivity(config):
-    config.validate()
-    env, tune_behavior, target = _control_setup(config, config.alpha1)
-    truth = _control_truth(config, env, target)
-    # hyperparameters are tuned once, on the reference behavior mixture,
-    # and frozen across the sweep: the sweep then isolates the effect of
-    # the data distribution, not of re-tuning
-    kernel_params = _tune_control_kernel(config, env, tune_behavior)
-    doc = config.to_dict()
-    rows = []
-    for alpha1 in config.alpha1_sweep:
-        tasks = [
-            {"config": doc, "count": config.sensitivity_trajectories, "alpha1": alpha1,
-             "setting": alpha1, "kernel": kernel_params, "run": run}
-            for run in range(config.monte_carlo_runs)
-        ]
-        results = _map_tasks(_control_run, tasks, config.workers)
-        _aggregate_setting(config, results, alpha1, truth, rows)
-    return rows, {"ground_truth": truth, "kernel": kernel_params}
+        results = _map_tasks(_sweep_run, tasks, config.workers)
+        for method in config.methods:
+            estimates = [res[method] for res in results]
+            rows.append(_row(config, aggregate(method, estimates, extras["ground_truth"]), setting))
+    return rows, extras
 
 
 def run_identity_check(config):
@@ -564,19 +505,12 @@ def run_identity_check(config):
     return rows, {"worst_relative_gap": worst}
 
 
-_DRIVERS = {
-    "modelwin_horizon": run_modelwin_horizon,
-    "control_rmse": run_control_rmse,
-    "sensitivity": run_sensitivity,
-    "bias_variance": run_bias_variance,
-    "theorem1_check": run_identity_check,
-}
-
-
 def run_experiment(config):
-    """Dispatch to the experiment driver; returns (rows, extras)."""
+    """Dispatch to the sweep driver or the identity check; returns (rows, extras)."""
     config.validate()
-    return _DRIVERS[config.experiment](config)
+    if config.experiment == "theorem1_check":
+        return run_identity_check(config)
+    return run_sweep(config)
 
 
 # ---------------------------------------------------------------------------

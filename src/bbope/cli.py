@@ -1,6 +1,6 @@
 """Command-line entry point for the benchmark experiments.
 
-Subcommands map one-to-one onto the experiment drivers in
+Subcommands map one-to-one onto the experiments of
 :mod:`bbope.bench`; every run writes a CSV of aggregated rows, an
 optional SVG chart, and a JSON manifest echoing the full configuration.
 Precedence: desk-scale defaults < ``--paper-scale`` enlargements <

@@ -108,18 +108,25 @@ class RbfKernel(Kernel):
         phi_a[np.arange(len(actions)), actions] = self.action_scale
         return np.concatenate([phi_s, phi_a], axis=1)
 
+    def encode_states(self, states, dtype=np.float64):
+        """State features in `dtype` together with their squared row norms."""
+        feats = self.state_features(states).astype(dtype)
+        return feats, np.sum(feats * feats, axis=1)
+
+    def gaussian_row_block(self, x, y, rows=slice(None)):
+        """exp(-||phi_x - phi_y||^2 / (2 b^2)) for the `rows` of encoded
+        states x against all of encoded states y (see `encode_states`)."""
+        (fx, nx), (fy, ny) = x, y
+        sq = nx[rows, None] + ny[None, :] - 2.0 * (fx[rows] @ fy.T)
+        np.maximum(sq, 0.0, out=sq)
+        sq *= sq.dtype.type(-1.0 / (2.0 * self.bandwidth**2))  # negative: sq is now the exponent
+        return np.exp(sq, out=sq)
+
     def state_gram(self, states_x, states_y, dtype=np.float64):
         """exp(-||phi_x - phi_y||^2 / (2 b^2)) on the state part only."""
-        fx = self.state_features(states_x).astype(dtype)
-        fy = self.state_features(states_y).astype(dtype)
-        sq = (
-            np.sum(fx * fx, axis=1)[:, None]
-            + np.sum(fy * fy, axis=1)[None, :]
-            - 2.0 * (fx @ fy.T)
+        return self.gaussian_row_block(
+            self.encode_states(states_x, dtype), self.encode_states(states_y, dtype)
         )
-        np.maximum(sq, 0.0, out=sq)
-        sq *= -1.0 / (2.0 * self.bandwidth**2)
-        return np.exp(sq, out=sq)
 
     def gram(self, sa_x, sa_y):
         g = self.state_gram(sa_x[0], sa_y[0])
@@ -289,26 +296,16 @@ def assemble_combined(dataset, policy, kernel, dtype=np.float64, block=1024):
 
     if isinstance(kernel, RbfKernel):
         gamma = dtype(kernel.action_factor)
-        f_src = kernel.state_features(dataset.states).astype(dtype)
-        f_nxt = kernel.state_features(dataset.next_states).astype(dtype)
-        nrm_src = np.sum(f_src * f_src, axis=1)
-        nrm_nxt = np.sum(f_nxt * f_nxt, axis=1)
-        scale = dtype(-1.0 / (2.0 * kernel.bandwidth**2))
-
-        def gram_rows(fa, na, r0, r1, fb, nb):
-            sq = na[r0:r1, None] + nb[None, :] - 2.0 * (fa[r0:r1] @ fb.T)
-            np.maximum(sq, 0.0, out=sq)
-            sq *= scale  # negative, so sq is now the exponent
-            return np.exp(sq, out=sq)
-
+        src = kernel.encode_states(dataset.states, dtype)
+        nxt = kernel.encode_states(dataset.next_states, dtype)
         for r0 in range(0, n, block):
             r1 = min(r0 + block, n)
-            piece = gram_rows(f_src, nrm_src, r0, r1, f_src, nrm_src)
+            piece = kernel.gaussian_row_block(src, src, slice(r0, r1))
             piece *= gamma + (1.0 - gamma) * (acts[r0:r1, None] == acts[None, :])
-            g1 = gram_rows(f_src, nrm_src, r0, r1, f_nxt, nrm_nxt)
+            g1 = kernel.gaussian_row_block(src, nxt, slice(r0, r1))
             g1 *= pi_next[:, acts[r0:r1]].T * (1.0 - gamma) + gamma
             piece -= 2.0 * g1
-            g2 = gram_rows(f_nxt, nrm_nxt, r0, r1, f_nxt, nrm_nxt)
+            g2 = kernel.gaussian_row_block(nxt, nxt, slice(r0, r1))
             g2 *= gamma + (1.0 - gamma) * (pi_next[r0:r1] @ pi_next.T)
             piece += g2
             buf[r0:r1] = piece
@@ -366,17 +363,11 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
 
     if isinstance(kernel, RbfKernel):
         gamma = dtype(kernel.action_factor)
-        f_src = kernel.state_features(dataset.states).astype(dtype)
-        f_nxt = kernel.state_features(dataset.next_states).astype(dtype)
-        nrm_src = np.sum(f_src * f_src, axis=1)
-        nrm_nxt = np.sum(f_nxt * f_nxt, axis=1)
-        scale = dtype(-1.0 / (2.0 * kernel.bandwidth**2))
+        src = kernel.encode_states(dataset.states, dtype)
+        nxt = kernel.encode_states(dataset.next_states, dtype)
         for r0 in range(0, n, block):
             r1 = min(r0 + block, n)
-            sq = nrm_nxt[r0:r1, None] + nrm_src[None, :] - 2.0 * (f_nxt[r0:r1] @ f_src.T)
-            np.maximum(sq, 0.0, out=sq)
-            sq *= scale
-            g = np.exp(sq, out=sq)
+            g = kernel.gaussian_row_block(nxt, src, slice(r0, r1))
             g *= counts[None, :]
             per_action = g @ act_onehot  # (rows, A): anchor kernel mass per action
             denom = gamma * g.sum(axis=1)[:, None] + (1.0 - gamma) * per_action

@@ -109,8 +109,9 @@ class TabularPolicy:
     """Stochastic policy over a finite state space, stored as a table."""
 
     def __init__(self, table):
-        table = np.asarray(table, dtype=np.float64)
-        assert table.ndim == 2, "policy table must be (num_states, num_actions)"
+        table = np.array(table, dtype=np.float64)
+        if table.ndim != 2:
+            raise ValueError(f"policy table must be (num_states, num_actions), got shape {table.shape}")
         for s in range(table.shape[0]):
             table[s] = _check_prob_row(table[s], f"policy row for state {s}")
         self.table = table

@@ -62,9 +62,7 @@ class OptimizerConfig:
     seed: int = 0
     matrix_dtype: str = "float64"  # float32 halves memory at bench scale
     hidden_layers: tuple = (30, 20, 10)
-    tie_weights: bool = True  # tabular: one weight per distinct (s, a); False = per row
     max_matrix_rows: int = 20_000  # refuse to assemble anything larger than this
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.method not in ("exp_gradient", "sgd_adamlike"):
@@ -81,8 +79,8 @@ def compress_tabular(dataset):
 
     compressed is a TransitionDataset of the distinct triples in sorted
     order, counts the multiplicity of each, and inverse maps original row
-    index to compressed row index.  Rewards carry over from the first
-    occurrence (they are a function of (s, a) in this package).
+    index to compressed row index.  Each triple carries the mean reward of
+    its rows; a triple whose rewards are all equal keeps them bit for bit.
     """
     if not dataset.is_tabular:
         raise ValueError("compression is defined for tabular datasets only")
@@ -93,10 +91,15 @@ def compress_tabular(dataset):
     uniq, first, inverse, counts = np.unique(
         triples, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
+    rewards = np.asarray(dataset.rewards, dtype=np.float64)
+    # the first reward plus the mean offset from it: exact for equal rewards
+    mean_rewards = rewards[first] + np.bincount(
+        inverse, weights=rewards - rewards[first][inverse], minlength=len(uniq)
+    ) / counts
     compressed = TransitionDataset(
         states=uniq[:, 0].copy(),
         actions=uniq[:, 1].copy(),
-        rewards=np.asarray(dataset.rewards)[first],
+        rewards=mean_rewards,
         next_states=uniq[:, 2].copy(),
     )
     return compressed, counts.astype(np.float64), inverse
@@ -161,11 +164,8 @@ class TabularWeightModel:
     group_mass: np.ndarray  # (G,) simplex over groups
     group_count: np.ndarray  # (G,) total original samples per group
     num_actions: int
-    tied: bool = True
 
     def sample_weights(self, states, actions):
-        if not self.tied:
-            raise ValueError("per-row (untied) weights cannot be queried by state-action pair")
         codes = np.asarray(states) * self.num_actions + np.asarray(actions)
         idx = np.searchsorted(self.group_codes, codes)
         if np.any(idx >= len(self.group_codes)) or np.any(self.group_codes[np.minimum(idx, len(self.group_codes) - 1)] != codes):
@@ -179,10 +179,7 @@ def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None)
     matrices must be assembled from `dataset`.  counts gives each row's
     multiplicity (for compressed datasets); by default every row counts
     once and the returned per-row weights lie exactly on the simplex.
-    With counts, sum(counts * w) = 1 instead.  config.tie_weights=False
-    drops the per-(s, a) tying and gives every dataset row its own free
-    weight (the ablation mode; same minimal loss, larger program).
-    Returns (w, model, info).
+    With counts, sum(counts * w) = 1 instead.  Returns (w, model, info).
     """
     config = config or OptimizerConfig()
     if not dataset.is_tabular:
@@ -193,8 +190,6 @@ def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None)
     counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
     num_actions = int(np.asarray(dataset.actions).max() + 1) if num_actions is None else int(num_actions)
     codes = np.asarray(dataset.states) * num_actions + np.asarray(dataset.actions)
-    if not config.tie_weights:
-        codes = np.arange(n)  # every row its own group
     # stable group structure: sorted distinct codes
     group_codes, group_of = np.unique(codes, return_inverse=True)
     G = len(group_codes)
@@ -212,7 +207,6 @@ def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None)
         group_mass=mass,
         group_count=group_count,
         num_actions=num_actions,
-        tied=config.tie_weights,
     )
     return w, model, info
 
@@ -389,8 +383,7 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"parameters became non-finite at epoch {epoch}")
         model.set_flat_parameters(theta)
-        if epoch % max(config.trace_every, 1) == 0 or epoch == config.epochs:
-            trace.append(est.value)
+        trace.append(est.value)
 
     logw = model.log_weights(X)
     w_eff = np.exp(logw + log_counts)

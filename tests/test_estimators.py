@@ -188,6 +188,20 @@ def test_model_based_single_state_returns_mean_reward():
     assert abs(report.estimate - 0.37) <= 1e-12
 
 
+def test_noisy_rewards_of_one_pair_are_averaged():
+    # one state, one action: every estimator must return the mean logged reward
+    ds = TransitionDataset(
+        states=np.zeros(4, dtype=np.int64),
+        actions=np.zeros(4, dtype=np.int64),
+        rewards=np.array([1.0, 0.0, 0.0, 0.0]),
+        next_states=np.zeros(4, dtype=np.int64),
+    )
+    policy = TabularPolicy(np.array([[1.0]]))
+    assert naive_average(ds).estimate == pytest.approx(0.25, abs=1e-12)
+    assert blackbox_estimate(ds, policy).estimate == pytest.approx(0.25, abs=1e-12)
+    assert model_based_estimate(ds, policy).estimate == pytest.approx(0.25, abs=1e-12)
+
+
 def test_model_based_short_horizon_behavior_data():
     ds = behavior_data(12_500, 4, seed=2)
     report = model_based_estimate(ds, target_policy())

@@ -69,6 +69,16 @@ def test_policy_rows_validate():
         TabularPolicy(np.array([[0.6, 0.6]]))
 
 
+def test_policy_copies_the_callers_table():
+    table = np.array([[1.0 + 1e-13, -1e-13], [0.5, 0.5]])
+    before = table.copy()
+    policy = TabularPolicy(table)
+    assert np.array_equal(table, before)
+    assert policy.table[0, 1] == 0.0
+    with pytest.raises(ValueError, match="num_states, num_actions"):
+        TabularPolicy(np.array([0.5, 0.5]))
+
+
 # ---------------------------------------------------------------------------
 # sample_trajectory
 

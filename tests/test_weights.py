@@ -134,7 +134,7 @@ def test_compress_collapses_duplicate_triples():
     assert np.array_equal(np.asarray(comp.states)[inverse], ds.states)
     assert np.array_equal(np.asarray(comp.actions)[inverse], ds.actions)
     assert np.array_equal(np.asarray(comp.next_states)[inverse], ds.next_states)
-    # the duplicated triple (2, 1, 0) appears twice and keeps its first reward
+    # the duplicated triple (2, 1, 0) appears twice with equal rewards, kept exactly
     dup = np.flatnonzero((np.asarray(comp.states) == 2) & (np.asarray(comp.actions) == 1))
     assert counts[dup] == 2.0
     assert np.asarray(comp.rewards)[dup] == 9.0
@@ -154,7 +154,7 @@ def test_eg_identity_two_distinct_pairs_is_uniform():
     ds = two_distinct_pairs()
     w, model, info = solve_tabular(synthetic_matrices(np.eye(2)), ds)
     assert np.array_equal(w, np.array([0.5, 0.5]))
-    assert model.tied
+    assert len(model.group_codes) == 2
 
 
 def test_eg_diagonal_minimizer():
@@ -247,19 +247,6 @@ def test_solve_compressed_path_matches_full_dataset():
     expanded = model.sample_weights(ds.states, ds.actions)
     np.testing.assert_allclose(w_full, expanded, rtol=0, atol=1e-12)
     assert abs(float(w_full.sum()) - 1.0) <= 1e-8
-
-
-def test_solve_untied_reaches_the_tied_optimum():
-    _, comp, counts = modelwin_compressed(num_trajectories=6, length=10)
-    mats = assemble_combined(comp, model_win_policy(0.9), DeltaKernel(num_actions=2))
-    tied = OptimizerConfig(epochs=6000)
-    untied = OptimizerConfig(epochs=6000, tie_weights=False)
-    _, _, info_tied = solve_tabular(mats, comp, config=tied, counts=counts, num_actions=2)
-    _, model_untied, info_untied = solve_tabular(mats, comp, config=untied, counts=counts, num_actions=2)
-    # tying weights per (s, a) loses nothing here: same minimal loss
-    assert abs(info_tied["final_loss"] - info_untied["final_loss"]) <= 1e-9
-    with pytest.raises(ValueError):
-        model_untied.sample_weights(np.array([0]), np.array([0]))
 
 
 def test_solve_rejects_unseen_query_pair():
