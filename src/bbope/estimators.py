@@ -27,6 +27,7 @@ from .mdp import TabularMdp, sample_trajectory
 from .oracle import stationary_of_matrix
 from .weights import (
     OptimizerConfig,
+    _check_matrix_rows,
     compress_tabular,
     solve_tabular,
     train_parametric,
@@ -82,6 +83,7 @@ def blackbox_estimate(dataset, policy, kernel=None, config=None, weight_model="a
             raise ValueError("tied tabular weights need integer states")
         kernel = kernel or DeltaKernel(policy.num_actions)
         compressed, counts, inverse = compress_tabular(dataset)
+        _check_matrix_rows(len(compressed), config or OptimizerConfig())
         matrices = assemble_combined(compressed, policy, kernel)
         w_rows, model, info = solve_tabular(
             matrices, compressed, config, counts=counts, num_actions=policy.num_actions
@@ -119,6 +121,7 @@ def model_based_estimate(dataset, policy, kernel=None, ridge=1e-6, tol=1e-10,
     distribution by power iteration, and averages the logged rewards
     under it.  Tabular datasets are compressed first; with the default
     exact-match kernel this reproduces the count-based empirical model.
+    The kernel must be an RbfKernel or a DeltaKernel.
     """
     counts = None
     work = dataset

@@ -340,70 +340,53 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
                     k((s_j, a_j), (s'_i, b)) m_j / sum_l k((s_l, a_l), (s'_i, b)) m_l
 
     with anchor multiplicities m (all ones by default; the duplicate
-    counts for compressed tabular data).  With the exact-match kernel on
-    tabular data this is exactly the empirical count-based transition
-    chain; a successor pair that matches no anchor contributes nothing
-    and its policy mass renormalizes over the matched ones.  `ridge` is
-    added on the diagonal so no row can be all zero, and rows are
-    renormalized to sum to one.  The stationary distribution of the
-    result is the model-based estimate of the target policy's long-run
-    pair distribution on the sample.
+    counts for compressed tabular data).  The two supported kernels both
+    factor as k = k_state(s, t) * gamma ** [a != b]: the Gaussian kernel
+    with its action factor, and the exact-match kernel with
+    k_state = [s == t] and gamma = 0, where this is exactly the empirical
+    count-based transition chain.  Other kernels raise ValueError.
+    Under either kernel a successor pair that matches no anchor (zero
+    kernel mass, e.g. a Gaussian successor far from every logged state)
+    contributes nothing, and its policy mass renormalizes over the
+    matched ones.  `ridge` is added on the diagonal so no row can be all
+    zero, and rows are renormalized to sum to one.  The stationary
+    distribution of the result is the model-based estimate of the target
+    policy's long-run pair distribution on the sample.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
-    counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
-    counts = counts.astype(dtype)
-    pi_next = np.asarray(policy.prob_matrix(dataset.next_states), dtype=dtype)
-    acts = np.asarray(dataset.actions, dtype=np.int64)
-    A = pi_next.shape[1]
-    act_onehot = np.zeros((n, A), dtype=dtype)
-    act_onehot[np.arange(n), acts] = 1.0
-    raw = np.empty((n, n), dtype=dtype)
-
     if isinstance(kernel, RbfKernel):
         gamma = dtype(kernel.action_factor)
         src = kernel.encode_states(dataset.states, dtype)
         nxt = kernel.encode_states(dataset.next_states, dtype)
-        for r0 in range(0, n, block):
-            r1 = min(r0 + block, n)
-            g = kernel.gaussian_row_block(nxt, src, slice(r0, r1))
-            g *= counts[None, :]
-            per_action = g @ act_onehot  # (rows, A): anchor kernel mass per action
-            denom = gamma * g.sum(axis=1)[:, None] + (1.0 - gamma) * per_action
-            ratio = pi_next[r0:r1] / denom  # Gaussian denominators are never zero
-            g *= gamma * ratio.sum(axis=1)[:, None] + (1.0 - gamma) * ratio[:, acts]
-            raw[r0:r1] = g
+        state_block = lambda rows: kernel.gaussian_row_block(nxt, src, rows)
     elif isinstance(kernel, DeltaKernel):
+        gamma = dtype(0.0)
         states = np.asarray(dataset.states)
         nexts = np.asarray(dataset.next_states)
-        for r0 in range(0, n, block):
-            r1 = min(r0 + block, n)
-            match = (nexts[r0:r1, None] == states[None, :]).astype(dtype)
-            match *= counts[None, :]
-            per_action = match @ act_onehot
-            ratio = np.divide(
-                pi_next[r0:r1], per_action,
-                out=np.zeros_like(per_action), where=per_action > 0,
-            )
-            match *= ratio[:, acts]
-            raw[r0:r1] = match
+        state_block = lambda rows: (nexts[rows, None] == states[None, :]).astype(dtype)
     else:
-        raw[:] = 0.0
-        for b in range(A):
-            g = np.asarray(
-                kernel.gram(
-                    (dataset.next_states, np.full(n, b, dtype=np.int64)),
-                    (dataset.states, dataset.actions),
-                ),
-                dtype=dtype,
-            )
-            g *= counts[None, :]
-            denom = g.sum(axis=1)
-            weight = np.divide(
-                pi_next[:, b], denom, out=np.zeros_like(denom), where=denom > 0
-            )
-            raw += weight[:, None] * g
+        raise ValueError(
+            f"the smoothed chain supports RbfKernel and DeltaKernel, got {type(kernel).__name__}"
+        )
+    counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    counts = counts.astype(dtype)
+    pi_next = np.asarray(policy.prob_matrix(dataset.next_states), dtype=dtype)
+    acts = np.asarray(dataset.actions, dtype=np.int64)
+    act_onehot = np.zeros((n, pi_next.shape[1]), dtype=dtype)
+    act_onehot[np.arange(n), acts] = 1.0
+    raw = np.empty((n, n), dtype=dtype)
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
+        g = state_block(slice(r0, r1))
+        g *= counts[None, :]
+        per_action = g @ act_onehot  # (rows, A): anchor kernel mass per action
+        denom = gamma * g.sum(axis=1)[:, None] + (1.0 - gamma) * per_action
+        ratio = np.divide(pi_next[r0:r1], denom, out=np.zeros_like(denom), where=denom > 0)
+        # per (row, action) factor, gathered to the anchors' actions
+        g *= (ratio * (1.0 - gamma) + gamma * ratio.sum(axis=1)[:, None])[:, acts]
+        raw[r0:r1] = g
 
     raw = raw.astype(np.float64, copy=False)
     raw[np.arange(n), np.arange(n)] += float(ridge)

@@ -8,6 +8,7 @@ the logged transitions and trajectory boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -73,6 +74,9 @@ class TabularMdp:
             raise ValueError(f"reward must have shape ({S}, {A}), got {R.shape}")
         if p0.shape != (S,):
             raise ValueError(f"start must have shape ({S},), got {p0.shape}")
+        for name, arr in (("transition", P), ("reward", R), ("start", p0)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(P < 0) or np.any(p0 < 0):
             raise ValueError("probabilities must be non-negative")
         rowsums = P.sum(axis=2)
@@ -98,10 +102,13 @@ class TabularMdp:
 
 def _check_prob_row(row, what):
     row = np.asarray(row, dtype=np.float64)
+    total = row.sum()
+    if not math.isfinite(total):  # a NaN or infinite entry makes the sum non-finite
+        raise ValueError(f"{what} has non-finite entries")
     if np.any(row < -1e-12):
         raise ValueError(f"{what} has negative entries")
-    if abs(row.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{what} sums to {row.sum()!r}, not 1")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{what} sums to {total!r}, not 1")
     return np.clip(row, 0.0, None)
 
 
@@ -372,10 +379,6 @@ def sample_dataset(mdp, policy, num_trajectories, length, seed, total_budget=Non
     if total_budget is not None and not (m - 1) * T < total_budget <= m * T:
         raise ValueError(f"budget {total_budget} unreachable with {m} x {T}")
     rng = make_rng(seed)
-    if isinstance(policy, TabularPolicy):
-        prob_of = policy.prob_matrix
-    else:
-        prob_of = lambda ss: np.stack([policy.action_probabilities(s) for s in ss])
     u0 = rng.random(m)
     cdf0 = np.cumsum(mdp.start)
     cur = np.searchsorted(cdf0, u0, side="left").clip(max=mdp.num_states - 1).astype(np.int64)
@@ -383,7 +386,7 @@ def sample_dataset(mdp, policy, num_trajectories, length, seed, total_budget=Non
     actions = np.empty((m, T), dtype=np.int64)
     states[:, 0] = cur
     for t in range(T):
-        acts = categorical_rows(rng, prob_of(cur))
+        acts = categorical_rows(rng, policy.prob_matrix(cur))
         nxt = categorical_rows(rng, mdp.transition[cur, acts])
         actions[:, t] = acts
         states[:, t + 1] = nxt

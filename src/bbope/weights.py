@@ -74,6 +74,15 @@ class OptimizerConfig:
         self.hidden_layers = tuple(int(h) for h in self.hidden_layers)
 
 
+def _check_matrix_rows(rows, config):
+    """Refuse an n x n assembly above the configured row cap."""
+    if rows > config.max_matrix_rows:
+        raise ValueError(
+            f"{rows} rows would need a {rows}x{rows} matrix; "
+            f"the configured cap is max_matrix_rows={config.max_matrix_rows}"
+        )
+
+
 def compress_tabular(dataset):
     """Collapse duplicate (s, a, s') rows; returns (compressed, counts, inverse).
 
@@ -341,11 +350,7 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
     if dataset.is_tabular:
         work, counts, inverse = compress_tabular(dataset)
     if matrices is None:
-        if len(work) > config.max_matrix_rows:
-            raise ValueError(
-                f"{len(work)} rows would need a {len(work)}x{len(work)} matrix; "
-                f"the configured cap is max_matrix_rows={config.max_matrix_rows}"
-            )
+        _check_matrix_rows(len(work), config)
         dtype = np.float32 if config.matrix_dtype == "float32" else np.float64
         matrices = assemble_combined(work, policy, kernel, dtype=dtype)
     elif matrices.sym.shape[0] != len(work):

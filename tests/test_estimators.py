@@ -13,11 +13,18 @@ from bbope.estimators import (
     nearest_rank,
     tabular_stationary_ips,
 )
-from bbope.kernels import DeltaKernel
-from bbope.mdp import TabularMdp, TabularPolicy, TransitionDataset, sample_dataset, sample_trajectory
+from bbope.kernels import DeltaKernel, RbfKernel, transformed_kernel
+from bbope.mdp import (
+    TabularMdp,
+    TabularPolicy,
+    TransitionDataset,
+    UniformPolicy,
+    sample_dataset,
+    sample_trajectory,
+)
 from bbope.oracle import ConvergenceError, exact_average_reward
 from bbope.rng import make_rng
-from bbope.weights import compress_tabular
+from bbope.weights import OptimizerConfig, compress_tabular
 
 
 TRUTH_TARGET = -0.08  # exact long-run reward of the 0.9-greedy policy on model_win(0.4)
@@ -133,6 +140,13 @@ def test_blackbox_rejects_unknown_weight_model():
         blackbox_estimate(single_transition(), target_policy(), weight_model="banana")
 
 
+def test_blackbox_tabular_enforces_matrix_row_cap():
+    ds = behavior_data(5, 20, seed=11)
+    assert len(compress_tabular(ds)[0]) > 4
+    with pytest.raises(ValueError, match="max_matrix_rows=4"):
+        blackbox_estimate(ds, target_policy(), config=OptimizerConfig(max_matrix_rows=4))
+
+
 def test_blackbox_mlp_requires_a_kernel():
     with pytest.raises(ValueError):
         blackbox_estimate(single_transition(), target_policy(), weight_model="mlp")
@@ -213,6 +227,25 @@ def test_model_based_stays_within_reward_range():
     est = model_based_estimate(ds, target_policy()).estimate
     rewards = np.asarray(ds.rewards)
     assert rewards.min() - 1e-9 <= est <= rewards.max() + 1e-9
+
+
+def test_model_based_far_successor_stays_finite():
+    # successor 50 matches no logged state under the Gaussian kernel
+    ds = TransitionDataset(
+        states=np.array([0.0, 0.1, 0.2, 0.3]),
+        actions=np.array([0, 1, 0, 1]),
+        rewards=np.array([1.0, 0.0, 0.5, 0.2]),
+        next_states=np.array([0.1, 0.2, 0.3, 50.0]),
+    )
+    est = model_based_estimate(ds, UniformPolicy(2), RbfKernel(1.0, num_actions=2)).estimate
+    assert np.isfinite(est)
+    assert 0.0 <= est <= 1.0
+
+
+def test_model_based_rejects_other_kernels():
+    kt = transformed_kernel(DeltaKernel(2), model_win(0.4), target_policy())
+    with pytest.raises(ValueError, match="RbfKernel and DeltaKernel"):
+        model_based_estimate(behavior_data(3, 8, seed=10), target_policy(), kernel=kt)
 
 
 def test_model_based_reports_nonconvergence_with_residual():

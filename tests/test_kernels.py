@@ -490,3 +490,26 @@ def test_smoothed_chain_counts_collapse_duplicates():
         agg[:, col_small] += P_full[:, col_full]
     for row_full, row_small in enumerate(inverse):
         assert np.max(np.abs(agg[row_full] - P_small[row_small])) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_smoothed_chain_far_successor_gets_the_ridge_self_loop(dtype):
+    # the last successor, 50, lies ~50 bandwidths from every logged state
+    ds = type(tabular_dataset())(
+        states=np.array([0.0, 0.1, 0.2, 0.3]),
+        actions=np.array([0, 1, 0, 1]),
+        rewards=np.array([1.0, 0.0, 0.5, 0.2]),
+        next_states=np.array([0.1, 0.2, 0.3, 50.0]),
+    )
+    P = smoothed_transition_matrix(ds, UniformPolicy(2), RbfKernel(1.0, num_actions=2), dtype=dtype)
+    assert np.all(np.isfinite(P))
+    assert np.array_equal(P[3], [0.0, 0.0, 0.0, 1.0])
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_smoothed_chain_rejects_other_kernels():
+    ds = tabular_dataset(seed=19, n_traj=3, length=8)
+    pol = model_win_policy(0.9)
+    kt = transformed_kernel(DeltaKernel(2), model_win(0.4), pol)
+    with pytest.raises(ValueError, match="RbfKernel and DeltaKernel"):
+        smoothed_transition_matrix(ds, pol, kt)

@@ -5,6 +5,8 @@ import pytest
 
 from bbope.envs import model_win, model_win_policy
 from bbope.mdp import (
+    FunctionPolicy,
+    MixedPolicy,
     PolicyStateError,
     TabularMdp,
     TabularPolicy,
@@ -64,9 +66,31 @@ def test_mdp_rejects_negative_probabilities():
         TabularMdp(transition=P, reward=np.zeros((2, 1)), start=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("field", ["transition", "reward", "start"])
+def test_mdp_rejects_nan(field):
+    parts = dict(
+        transition=np.array([[[0.5, 0.5]], [[0.5, 0.5]]]),
+        reward=np.zeros((2, 1)),
+        start=np.array([0.5, 0.5]),
+    )
+    parts[field].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"{field} has non-finite entries"):
+        TabularMdp(**parts)
+
+
 def test_policy_rows_validate():
     with pytest.raises(ValueError):
         TabularPolicy(np.array([[0.6, 0.6]]))
+
+
+def test_policy_rejects_nan():
+    with pytest.raises(ValueError, match="non-finite"):
+        TabularPolicy([[np.nan, 1.0]])
+    rule = FunctionPolicy(lambda state: [np.nan, 1.0], 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        rule.action_probabilities(0)
+    with pytest.raises(ValueError, match="non-finite"):
+        rule.prob_matrix(np.array([0, 1]))
 
 
 def test_policy_copies_the_callers_table():
@@ -286,6 +310,20 @@ def test_sample_dataset_budget_truncates_last_trajectory():
     assert ds.traj_starts.tolist() == [0, 7, 14]
     with pytest.raises(ValueError):
         sample_dataset(mdp, pol, 3, 7, seed=99, total_budget=30)
+
+
+def test_sample_dataset_same_log_for_every_policy_type():
+    # a mixture, a rule and a table with equal probabilities log identically
+    mdp = model_win(0.4)
+    first, second = model_win_policy(0.7), model_win_policy(0.2)
+    table = mix_policies(first, second, 0.3)
+    mixed = MixedPolicy(first, second, 0.3)
+    rule = FunctionPolicy(lambda state: table.table[int(state)], 2)
+    logs = [sample_dataset(mdp, pol, 6, 9, seed=5, total_budget=50) for pol in (table, mixed, rule)]
+    for ds in logs[1:]:
+        assert np.array_equal(ds.states, logs[0].states)
+        assert np.array_equal(ds.actions, logs[0].actions)
+        assert np.array_equal(ds.next_states, logs[0].next_states)
 
 
 def test_sample_dataset_within_trajectory_chaining():
