@@ -244,11 +244,6 @@ class ExperimentConfig:
             doc["optimizer"] = OptimizerConfig(**doc["optimizer"])
         return cls(**doc).validate()
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def build_config(experiment, env_name=None, overrides=None, paper_scale=False):
     """Desk-scale defaults for an experiment, optionally enlarged to the

@@ -62,6 +62,10 @@ def naive_average(dataset):
     return EstimateReport(method="naive", estimate=est, num_transitions=len(dataset))
 
 
+# the optimizer method that fits each weight model
+_SOLVER_METHOD = {"tabular": "exp_gradient", "mlp": "sgd_adamlike"}
+
+
 def blackbox_estimate(dataset, policy, kernel=None, config=None, weight_model="auto"):
     """Weighted average reward with flow-preserving simplex weights.
 
@@ -71,12 +75,18 @@ def blackbox_estimate(dataset, policy, kernel=None, config=None, weight_model="a
     "mlp" trains the parametric log-weight network.  "auto" picks
     "tabular" for integer states and "mlp" otherwise.  kernel defaults to
     the exact-match kernel on tabular data and must be given explicitly
-    for continuous data.
+    for continuous data.  config.method must name the model's solver:
+    "exp_gradient" for "tabular", "sgd_adamlike" for "mlp".
     """
     if weight_model == "auto":
         weight_model = "tabular" if dataset.is_tabular else "mlp"
-    if weight_model not in ("tabular", "mlp"):
+    if weight_model not in _SOLVER_METHOD:
         raise ValueError(f"unknown weight_model {weight_model!r}")
+    if config is not None and config.method != _SOLVER_METHOD[weight_model]:
+        raise ValueError(
+            f"optimizer method {config.method!r} does not solve weight_model {weight_model!r}: "
+            "tabular weights use 'exp_gradient' and the MLP uses 'sgd_adamlike'"
+        )
 
     if weight_model == "tabular":
         if not dataset.is_tabular:

@@ -65,7 +65,30 @@ class Kernel:
         return float(g[0, 0])
 
 
-class RbfKernel(Kernel):
+def _blend(x, gamma, total=1.0):
+    """(1 - gamma) * x + gamma * total; x itself at gamma == 0 (the exact-match
+    kernel), which is exact for the non-negative finite values used here."""
+    if gamma == 0:
+        return x
+    x = x * (1.0 - gamma)
+    x += gamma * total
+    return x
+
+
+class _FactoredKernel(Kernel):
+    """k((s,a), (t,b)) = k_state(s,t) * gamma ** [a != b] from three members:
+    ``encode_states(states, dtype)``, ``state_block(x, y, rows)`` (k_state for
+    the `rows` of encoded x against encoded y) and ``action_factor`` (gamma)."""
+
+    def gram(self, sa_x, sa_y):
+        g = self.state_block(self.encode_states(sa_x[0]), self.encode_states(sa_y[0]))
+        ax = np.asarray(sa_x[1], dtype=np.int64)
+        ay = np.asarray(sa_y[1], dtype=np.int64)
+        g *= _blend(ax[:, None] == ay[None, :], self.action_factor)
+        return g
+
+
+class RbfKernel(_FactoredKernel):
     def __init__(self, bandwidth, action_scale=1.0, num_actions=None, num_states=None,
                  state_shift=None, state_scale=None):
         if bandwidth <= 0:
@@ -113,7 +136,7 @@ class RbfKernel(Kernel):
         feats = self.state_features(states).astype(dtype)
         return feats, np.sum(feats * feats, axis=1)
 
-    def gaussian_row_block(self, x, y, rows=slice(None)):
+    def state_block(self, x, y, rows=slice(None)):
         """exp(-||phi_x - phi_y||^2 / (2 b^2)) for the `rows` of encoded
         states x against all of encoded states y (see `encode_states`)."""
         (fx, nx), (fy, ny) = x, y
@@ -122,35 +145,26 @@ class RbfKernel(Kernel):
         sq *= sq.dtype.type(-1.0 / (2.0 * self.bandwidth**2))  # negative: sq is now the exponent
         return np.exp(sq, out=sq)
 
-    def state_gram(self, states_x, states_y, dtype=np.float64):
-        """exp(-||phi_x - phi_y||^2 / (2 b^2)) on the state part only."""
-        return self.gaussian_row_block(
-            self.encode_states(states_x, dtype), self.encode_states(states_y, dtype)
-        )
 
-    def gram(self, sa_x, sa_y):
-        g = self.state_gram(sa_x[0], sa_y[0])
-        ax = np.asarray(sa_x[1], dtype=np.int64)
-        ay = np.asarray(sa_y[1], dtype=np.int64)
-        gamma = self.action_factor
-        g *= gamma + (1.0 - gamma) * (ax[:, None] == ay[None, :])
-        return g
-
-
-class DeltaKernel(Kernel):
+class DeltaKernel(_FactoredKernel):
     """Exact-match kernel for tabular pairs: k = 1 iff (s,a) == (t,b)."""
+
+    action_factor = 0.0
 
     def __init__(self, num_actions):
         self.num_actions = int(num_actions)
 
-    def gram(self, sa_x, sa_y):
-        sx = np.asarray(sa_x[0])
-        sy = np.asarray(sa_y[0])
-        if not (np.issubdtype(sx.dtype, np.integer) and np.issubdtype(sy.dtype, np.integer)):
+    def encode_states(self, states, dtype=np.float64):
+        """The integer states together with the dtype of their blocks."""
+        states = np.asarray(states)
+        if not np.issubdtype(states.dtype, np.integer):
             raise ValueError("the exact-match kernel is defined for tabular states only")
-        cx = sx * self.num_actions + np.asarray(sa_x[1], dtype=np.int64)
-        cy = sy * self.num_actions + np.asarray(sa_y[1], dtype=np.int64)
-        return (cx[:, None] == cy[None, :]).astype(np.float64)
+        return states, dtype
+
+    def state_block(self, x, y, rows=slice(None)):
+        """[s == t] for the `rows` of encoded states x against all of y."""
+        (sx, dtype), (sy, _) = x, y
+        return (sx[rows, None] == sy[None, :]).astype(dtype)
 
 
 def rbf_kernel(bandwidth, action_scale=1.0, **kwargs):
@@ -273,54 +287,45 @@ def _symmetrize_inplace(buf, block=2048):
     return buf
 
 
+def _prepare(dataset, policy, kernel, dtype):
+    """gamma, encoded states and successors, pi(. | s') and the actions."""
+    if not isinstance(kernel, _FactoredKernel):
+        raise ValueError(
+            f"the row-blocked flow matrix and smoothed chain support RbfKernel and DeltaKernel, "
+            f"got {type(kernel).__name__}; assemble_matrices is the dense path for any kernel"
+        )
+    return (dtype(kernel.action_factor), kernel.encode_states(dataset.states, dtype),
+            kernel.encode_states(dataset.next_states, dtype),
+            np.asarray(policy.prob_matrix(dataset.next_states), dtype=dtype),
+            np.asarray(dataset.actions, dtype=np.int64))
+
+
 def assemble_combined(dataset, policy, kernel, dtype=np.float64, block=1024):
     """Memory-lean assembly of the symmetrized combination only.
 
     Works in row blocks so peak memory is the output matrix plus
-    O(block * n) temporaries.  For the Gaussian kernel the state-gram x
-    action-factor factorization means only state distances are ever
-    exponentiated; for the exact-match kernel everything reduces to
-    integer comparisons.  Other kernels fall back to the dense path.
+    O(block * n) temporaries.  Only the factored kernels (RbfKernel,
+    DeltaKernel) are supported: just state blocks are computed, and the
+    actions enter through cheap elementwise factors.
     Intended for benchmark-scale n where the full block set (and float64)
     would not fit; float32 costs ~1e-7 relative error, far below the
     statistical noise of any benchmark estimate.
     """
-    if not isinstance(kernel, (RbfKernel, DeltaKernel)):
-        mats = assemble_matrices(dataset, policy, kernel)
-        return KernelMatrices(None, None, None, None, mats.sym.astype(dtype))
-
+    gamma, src, nxt, pi_next, acts = _prepare(dataset, policy, kernel, dtype)
     n = len(dataset)
-    pi_next = np.asarray(policy.prob_matrix(dataset.next_states), dtype=dtype)
-    acts = np.asarray(dataset.actions, dtype=np.int64)
     buf = np.empty((n, n), dtype=dtype)
-
-    if isinstance(kernel, RbfKernel):
-        gamma = dtype(kernel.action_factor)
-        src = kernel.encode_states(dataset.states, dtype)
-        nxt = kernel.encode_states(dataset.next_states, dtype)
-        for r0 in range(0, n, block):
-            r1 = min(r0 + block, n)
-            piece = kernel.gaussian_row_block(src, src, slice(r0, r1))
-            piece *= gamma + (1.0 - gamma) * (acts[r0:r1, None] == acts[None, :])
-            g1 = kernel.gaussian_row_block(src, nxt, slice(r0, r1))
-            g1 *= pi_next[:, acts[r0:r1]].T * (1.0 - gamma) + gamma
-            piece -= 2.0 * g1
-            g2 = kernel.gaussian_row_block(nxt, nxt, slice(r0, r1))
-            g2 *= gamma + (1.0 - gamma) * (pi_next[r0:r1] @ pi_next.T)
-            piece += g2
-            buf[r0:r1] = piece
-    else:
-        states = np.asarray(dataset.states)
-        nexts = np.asarray(dataset.next_states)
-        for r0 in range(0, n, block):
-            r1 = min(r0 + block, n)
-            piece = (
-                (states[r0:r1, None] == states[None, :])
-                & (acts[r0:r1, None] == acts[None, :])
-            ).astype(dtype)
-            piece -= 2.0 * (states[r0:r1, None] == nexts[None, :]) * pi_next[:, acts[r0:r1]].T
-            piece += (nexts[r0:r1, None] == nexts[None, :]) * (pi_next[r0:r1] @ pi_next.T)
-            buf[r0:r1] = piece
+    for r0 in range(0, n, block):
+        rows = slice(r0, min(r0 + block, n))
+        piece = buf[rows]  # a view: combining in place keeps fewer row blocks alive
+        np.multiply(kernel.state_block(src, src, rows),
+                    _blend(acts[rows, None] == acts[None, :], gamma), out=piece)
+        g = kernel.state_block(src, nxt, rows)
+        g *= _blend(pi_next[:, acts[rows]].T, gamma)
+        g *= 2.0
+        piece -= g
+        g = kernel.state_block(nxt, nxt, rows)
+        g *= _blend(pi_next[rows] @ pi_next.T, gamma)
+        piece += g
 
     _symmetrize_inplace(buf, block=max(block, 1024))
     return KernelMatrices(None, None, None, None, buf)
@@ -348,52 +353,38 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
     Under either kernel a successor pair that matches no anchor (zero
     kernel mass, e.g. a Gaussian successor far from every logged state)
     contributes nothing, and its policy mass renormalizes over the
-    matched ones.  `ridge` is added on the diagonal so no row can be all
-    zero, and rows are renormalized to sum to one.  The stationary
-    distribution of the result is the model-based estimate of the target
-    policy's long-run pair distribution on the sample.
+    matched ones; a row with no match at all restarts at m / sum(m).
+    `ridge` >= 0 is added on the diagonal and rows are renormalized to
+    sum to one.  The stationary distribution of the result is the
+    model-based estimate of the target policy's long-run pair
+    distribution on the sample.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
-    if isinstance(kernel, RbfKernel):
-        gamma = dtype(kernel.action_factor)
-        src = kernel.encode_states(dataset.states, dtype)
-        nxt = kernel.encode_states(dataset.next_states, dtype)
-        state_block = lambda rows: kernel.gaussian_row_block(nxt, src, rows)
-    elif isinstance(kernel, DeltaKernel):
-        gamma = dtype(0.0)
-        states = np.asarray(dataset.states)
-        nexts = np.asarray(dataset.next_states)
-        state_block = lambda rows: (nexts[rows, None] == states[None, :]).astype(dtype)
-    else:
-        raise ValueError(
-            f"the smoothed chain supports RbfKernel and DeltaKernel, got {type(kernel).__name__}"
-        )
-    counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
-    counts = counts.astype(dtype)
-    pi_next = np.asarray(policy.prob_matrix(dataset.next_states), dtype=dtype)
-    acts = np.asarray(dataset.actions, dtype=np.int64)
+    if ridge < 0:
+        raise ValueError(f"ridge must be non-negative, got {ridge}")
+    gamma, src, nxt, pi_next, acts = _prepare(dataset, policy, kernel, dtype)
+    counts = (np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)).astype(dtype)
+    restart = counts / counts.sum()
     act_onehot = np.zeros((n, pi_next.shape[1]), dtype=dtype)
     act_onehot[np.arange(n), acts] = 1.0
     raw = np.empty((n, n), dtype=dtype)
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
-        g = state_block(slice(r0, r1))
+        g = kernel.state_block(nxt, src, slice(r0, r1))
         g *= counts[None, :]
         per_action = g @ act_onehot  # (rows, A): anchor kernel mass per action
-        denom = gamma * g.sum(axis=1)[:, None] + (1.0 - gamma) * per_action
+        denom = _blend(per_action, gamma, g.sum(axis=1)[:, None])
         ratio = np.divide(pi_next[r0:r1], denom, out=np.zeros_like(denom), where=denom > 0)
         # per (row, action) factor, gathered to the anchors' actions
-        g *= (ratio * (1.0 - gamma) + gamma * ratio.sum(axis=1)[:, None])[:, acts]
+        g *= _blend(ratio, gamma, ratio.sum(axis=1)[:, None])[:, acts]
+        g[~np.any(ratio > 0, axis=1)] = restart  # no matched successor pair
         raw[r0:r1] = g
 
     raw = raw.astype(np.float64, copy=False)
     raw[np.arange(n), np.arange(n)] += float(ridge)
-    sums = raw.sum(axis=1)
-    if np.any(sums <= 0.0):
-        raise ValueError("a transition row has no mass even after the ridge term")
-    raw /= sums[:, None]
+    raw /= raw.sum(axis=1)[:, None]
     return raw
 
 

@@ -54,7 +54,7 @@ def normalize(w_tilde):
 
 @dataclass
 class OptimizerConfig:
-    method: str = "exp_gradient"  # or "sgd_adamlike"
+    method: str = "exp_gradient"  # tabular weights; "sgd_adamlike" trains the MLP
     step_size: float = 1e-2
     epochs: int = 2000
     batch_pairs: int = 0  # 0 = exact full-batch gradient; > 0 samples that many pairs

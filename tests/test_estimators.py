@@ -147,6 +147,22 @@ def test_blackbox_tabular_enforces_matrix_row_cap():
         blackbox_estimate(ds, target_policy(), config=OptimizerConfig(max_matrix_rows=4))
 
 
+def test_blackbox_rejects_the_other_models_optimizer_method():
+    continuous = TransitionDataset(
+        states=np.array([[0.0], [0.5]]),
+        actions=np.array([0, 1]),
+        rewards=np.array([1.0, 0.0]),
+        next_states=np.array([[0.5], [0.0]]),
+    )
+    cases = [
+        (behavior_data(3, 5, seed=2), target_policy(), None, "sgd_adamlike"),
+        (continuous, UniformPolicy(2), RbfKernel(1.0, num_actions=2), "exp_gradient"),
+    ]
+    for ds, policy, kernel, method in cases:
+        with pytest.raises(ValueError, match="'exp_gradient' and the MLP uses 'sgd_adamlike'"):
+            blackbox_estimate(ds, policy, kernel, config=OptimizerConfig(method=method))
+
+
 def test_blackbox_mlp_requires_a_kernel():
     with pytest.raises(ValueError):
         blackbox_estimate(single_transition(), target_policy(), weight_model="mlp")
@@ -238,8 +254,22 @@ def test_model_based_far_successor_stays_finite():
         next_states=np.array([0.1, 0.2, 0.3, 50.0]),
     )
     est = model_based_estimate(ds, UniformPolicy(2), RbfKernel(1.0, num_actions=2)).estimate
-    assert np.isfinite(est)
-    assert 0.0 <= est <= 1.0
+    # the unmatched row restarts at the anchors, so the estimate is not its
+    # reward 0.2 alone (the naive average is 0.425)
+    assert est == pytest.approx(0.4235865681441721, abs=1e-9)
+
+
+def test_model_based_unmatched_tabular_row_is_not_absorbing():
+    # a short log in which one successor pair was never logged; an
+    # absorbing row there made the estimate that row's reward, 0.4399
+    mdp = random_tabular_mdp(30, 3, 5)
+    target = TabularPolicy(make_rng(1).dirichlet(np.ones(3), size=30))
+    ds = sample_dataset(mdp, UniformPolicy(3), 20, 4, 1)
+    est = model_based_estimate(ds, target).estimate
+    truth = exact_average_reward(mdp, target)
+    assert truth == pytest.approx(-0.1635307894628555, abs=1e-12)
+    assert est == pytest.approx(-0.0797764412459592, abs=1e-9)
+    assert abs(est - truth) < abs(0.4399 - truth)
 
 
 def test_model_based_rejects_other_kernels():

@@ -117,6 +117,39 @@ def test_delta_kernel_rejects_continuous_states():
         k.gram((np.array([[0.5, 1.0]]), np.array([0])), (np.array([[0.5, 1.0]]), np.array([0])))
 
 
+def gram_oracle(kernel, sa_x, sa_y):
+    """k((s,a), (t,b)) from the definitions, by direct differences."""
+    (sx, ax), (sy, ay) = sa_x, sa_y
+    if isinstance(kernel, DeltaKernel):
+        return ((sx[:, None] == sy[None, :]) & (ax[:, None] == ay[None, :])).astype(float)
+    diff = kernel.features(sx, ax)[:, None, :] - kernel.features(sy, ay)[None, :, :]
+    return np.exp(-np.sum(diff**2, axis=2) / (2.0 * kernel.bandwidth**2))
+
+
+@pytest.mark.parametrize("case", ["delta", "delta_int32", "rbf_tabular", "rbf_continuous"])
+def test_gram_matches_an_independent_oracle(case):
+    rng = make_rng(23)
+    ax, ay = rng.integers(3, size=40), rng.integers(3, size=30)
+    if case == "rbf_continuous":
+        kernel = RbfKernel(1.3, action_scale=0.8, num_actions=3,
+                           state_shift=np.array([0.5, -1.0]), state_scale=np.array([2.0, 0.5]))
+        sx, sy = rng.normal(size=(40, 2)), rng.normal(size=(30, 2))
+    else:
+        sx, sy = rng.integers(5, size=40), rng.integers(5, size=30)
+        if case == "delta_int32":
+            sx, sy = sx.astype(np.int32), sy.astype(np.int32)
+        kernel = (RbfKernel(0.9, action_scale=1.2, num_actions=3, num_states=5)
+                  if case == "rbf_tabular" else DeltaKernel(3))
+    got = kernel.gram((sx, ax), (sy, ay))
+    want = gram_oracle(kernel, (sx, ax), (sy, ay))
+    assert got.shape == (40, 30) and got.dtype == np.float64
+    if isinstance(kernel, DeltaKernel):
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert 0.0 < want.min() and want.max() <= 1.0  # the oracle is not vacuous
+
+
 def test_factory_helpers():
     assert isinstance(rbf_kernel(1.0, num_actions=2), RbfKernel)
     assert isinstance(delta_kernel(2), DeltaKernel)
@@ -302,14 +335,18 @@ def test_assemble_combined_matches_dense_paths():
         assert np.array_equal(blocked.sym, lean.sym)
 
 
-def test_assemble_combined_generic_kernel_falls_back():
+def test_assemble_combined_and_chain_reject_other_kernels_alike():
     ds = tabular_dataset(seed=8, n_traj=2, length=4)
     pol = model_win_policy(0.9)
     base = RbfKernel(bandwidth=1.0, num_actions=2, num_states=3)
     kt = transformed_kernel(base, model_win(0.4), pol)
-    dense = assemble_matrices(ds, pol, kt)
-    lean = assemble_combined(ds, pol, kt)
-    assert np.array_equal(lean.sym, dense.sym)
+    messages = []
+    for build in (assemble_combined, smoothed_transition_matrix):
+        with pytest.raises(ValueError, match="RbfKernel and DeltaKernel") as exc:
+            build(ds, pol, kt)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "assemble_matrices" in messages[0]  # the dense path that takes any kernel
 
 
 def test_assemble_combined_float32_close_to_float64():
@@ -459,18 +496,25 @@ def test_smoothed_chain_renormalizes_unmatched_successor_actions():
     assert np.allclose(P[1], [1.0, 0.0])
 
 
-def test_smoothed_chain_ridge_rescues_empty_rows():
+def test_smoothed_chain_unmatched_rows_restart_without_ridge():
     ds = type(tabular_dataset())(
-        states=np.array([0]),
-        actions=np.array([0]),
-        rewards=np.zeros(1),
-        next_states=np.array([1]),  # successor state never appears as a source
+        states=np.array([0, 1]),
+        actions=np.array([0, 0]),
+        rewards=np.zeros(2),
+        next_states=np.array([1, 2]),  # successor state 2 never appears as a source
     )
-    pol = TabularPolicy(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        smoothed_transition_matrix(ds, pol, DeltaKernel(2), ridge=0.0)
-    P = smoothed_transition_matrix(ds, pol, DeltaKernel(2), ridge=1e-6)
-    assert np.allclose(P, [[1.0]])
+    counts = np.array([1.0, 3.0])
+    pol = TabularPolicy(np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    P = smoothed_transition_matrix(ds, pol, DeltaKernel(2), ridge=0.0, counts=counts)
+    assert np.array_equal(P[0], [0.0, 1.0])
+    # no anchor for state 2: restart at the count-weighted anchors
+    assert np.array_equal(P[1], [0.25, 0.75])
+    # an anchor that the policy never picks is no match either
+    never = TabularPolicy(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+    P = smoothed_transition_matrix(ds, never, DeltaKernel(2), ridge=0.0, counts=counts)
+    assert np.array_equal(P, [[0.25, 0.75], [0.25, 0.75]])
+    with pytest.raises(ValueError, match="ridge"):
+        smoothed_transition_matrix(ds, pol, DeltaKernel(2), ridge=-1e-6)
 
 
 def test_smoothed_chain_counts_collapse_duplicates():
@@ -493,7 +537,7 @@ def test_smoothed_chain_counts_collapse_duplicates():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_smoothed_chain_far_successor_gets_the_ridge_self_loop(dtype):
+def test_smoothed_chain_far_successor_restarts_at_the_anchors(dtype):
     # the last successor, 50, lies ~50 bandwidths from every logged state
     ds = type(tabular_dataset())(
         states=np.array([0.0, 0.1, 0.2, 0.3]),
@@ -501,10 +545,16 @@ def test_smoothed_chain_far_successor_gets_the_ridge_self_loop(dtype):
         rewards=np.array([1.0, 0.0, 0.5, 0.2]),
         next_states=np.array([0.1, 0.2, 0.3, 50.0]),
     )
-    P = smoothed_transition_matrix(ds, UniformPolicy(2), RbfKernel(1.0, num_actions=2), dtype=dtype)
+    kernel = RbfKernel(1.0, num_actions=2)
+    P = smoothed_transition_matrix(ds, UniformPolicy(2), kernel, ridge=1e-6, dtype=dtype)
     assert np.all(np.isfinite(P))
-    assert np.array_equal(P[3], [0.0, 0.0, 0.0, 1.0])
+    restart = np.array([0.25, 0.25, 0.25, 0.25 + 1e-6])
+    assert np.max(np.abs(P[3] - restart / restart.sum())) < 1e-15
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
+    # the rows with kernel mass are the ones a near successor gives
+    near = type(ds)(ds.states, ds.actions, ds.rewards, np.array([0.1, 0.2, 0.3, 0.4]))
+    P_near = smoothed_transition_matrix(near, UniformPolicy(2), kernel, ridge=1e-6, dtype=dtype)
+    assert np.array_equal(P[:3], P_near[:3])
 
 
 def test_smoothed_chain_rejects_other_kernels():
