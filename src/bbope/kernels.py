@@ -19,7 +19,8 @@ pairs), and the successor block (policy-averaged successors against
 themselves).  Their combination  point - 2*cross + successor  is the
 matrix of the quadratic loss; its symmetrization is stored as well
 because the cross block is not symmetric and gradients must see the
-symmetric part only.
+symmetric part only.  `assemble_combined` builds just that symmetric
+matrix, one block pair at a time with O(block**2) temporaries.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _blend(x, gamma, total=1.0):
 
 class _FactoredKernel(Kernel):
     """k((s,a), (t,b)) = k_state(s,t) * gamma ** [a != b] from three members:
-    ``encode_states(states, dtype)``, ``state_block(x, y, rows)`` (k_state for
-    the `rows` of encoded x against encoded y) and ``action_factor`` (gamma)."""
+    ``encode_states(states, dtype)``, ``state_block(x, y, rows, cols)`` (k_state
+    for those rows of encoded x and columns of y) and ``action_factor`` (gamma)."""
 
     def gram(self, sa_x, sa_y):
         g = self.state_block(self.encode_states(sa_x[0]), self.encode_states(sa_y[0]))
@@ -136,11 +137,13 @@ class RbfKernel(_FactoredKernel):
         feats = self.state_features(states).astype(dtype)
         return feats, np.sum(feats * feats, axis=1)
 
-    def state_block(self, x, y, rows=slice(None)):
+    def state_block(self, x, y, rows=slice(None), cols=slice(None)):
         """exp(-||phi_x - phi_y||^2 / (2 b^2)) for the `rows` of encoded
-        states x against all of encoded states y (see `encode_states`)."""
+        states x against the `cols` of encoded states y (see `encode_states`)."""
         (fx, nx), (fy, ny) = x, y
-        sq = nx[rows, None] + ny[None, :] - 2.0 * (fx[rows] @ fy.T)
+        sq = fx[rows] @ fy[cols].T
+        sq *= 2.0
+        np.subtract(nx[rows, None] + ny[None, cols], sq, out=sq)  # two blocks alive at most
         np.maximum(sq, 0.0, out=sq)
         sq *= sq.dtype.type(-1.0 / (2.0 * self.bandwidth**2))  # negative: sq is now the exponent
         return np.exp(sq, out=sq)
@@ -161,10 +164,10 @@ class DeltaKernel(_FactoredKernel):
             raise ValueError("the exact-match kernel is defined for tabular states only")
         return states, dtype
 
-    def state_block(self, x, y, rows=slice(None)):
-        """[s == t] for the `rows` of encoded states x against all of y."""
+    def state_block(self, x, y, rows=slice(None), cols=slice(None)):
+        """[s == t] for the `rows` of encoded states x against the `cols` of y."""
         (sx, dtype), (sy, _) = x, y
-        return (sx[rows, None] == sy[None, :]).astype(dtype)
+        return (sx[rows, None] == sy[None, cols]).astype(dtype)
 
 
 def rbf_kernel(bandwidth, action_scale=1.0, **kwargs):
@@ -273,25 +276,13 @@ def assemble_matrices(dataset, policy, kernel):
     )
 
 
-def _symmetrize_inplace(buf, block=2048):
-    n = buf.shape[0]
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            upper = buf[i0:i1, j0:j1]
-            lower = buf[j0:j1, i0:i1]
-            avg = 0.5 * (upper + lower.T)
-            buf[i0:i1, j0:j1] = avg
-            buf[j0:j1, i0:i1] = avg.T
-    return buf
-
-
 def _prepare(dataset, policy, kernel, dtype):
     """gamma, encoded states and successors, pi(. | s') and the actions."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
     if not isinstance(kernel, _FactoredKernel):
         raise ValueError(
-            f"the row-blocked flow matrix and smoothed chain support RbfKernel and DeltaKernel, "
+            f"the blocked flow matrix and smoothed chain support RbfKernel and DeltaKernel, "
             f"got {type(kernel).__name__}; assemble_matrices is the dense path for any kernel"
         )
     return (dtype(kernel.action_factor), kernel.encode_states(dataset.states, dtype),
@@ -300,34 +291,42 @@ def _prepare(dataset, policy, kernel, dtype):
             np.asarray(dataset.actions, dtype=np.int64))
 
 
-def assemble_combined(dataset, policy, kernel, dtype=np.float64, block=1024):
+def assemble_combined(dataset, policy, kernel, dtype=np.float64, block=256):
     """Memory-lean assembly of the symmetrized combination only.
 
-    Works in row blocks so peak memory is the output matrix plus
-    O(block * n) temporaries.  Only the factored kernels (RbfKernel,
-    DeltaKernel) are supported: just state blocks are computed, and the
-    actions enter through cheap elementwise factors.
-    Intended for benchmark-scale n where the full block set (and float64)
-    would not fit; float32 costs ~1e-7 relative error, far below the
-    statistical noise of any benchmark estimate.
+    One pass over the block pairs I <= J computes four block-by-block
+    state blocks, writes sym[I, J] and mirrors it into sym[J, I]: peak
+    memory is the output plus O(block**2) temporaries.  Each entry is
+    formed in one fixed order, (point - 2 * cross) + successor averaged
+    with its mirror, so float64 results do not depend on the block size.
+    Only RbfKernel and DeltaKernel are supported; the actions enter
+    through cheap elementwise factors.  float32 costs ~1e-7 relative
+    error, far below the statistical noise of any benchmark estimate.
     """
     gamma, src, nxt, pi_next, acts = _prepare(dataset, policy, kernel, dtype)
     n = len(dataset)
+    pi_t = np.ascontiguousarray(_blend(pi_next, gamma).T)  # (A, n) cross-block action factors
     buf = np.empty((n, n), dtype=dtype)
-    for r0 in range(0, n, block):
-        rows = slice(r0, min(r0 + block, n))
-        piece = buf[rows]  # a view: combining in place keeps fewer row blocks alive
-        np.multiply(kernel.state_block(src, src, rows),
-                    _blend(acts[rows, None] == acts[None, :], gamma), out=piece)
-        g = kernel.state_block(src, nxt, rows)
-        g *= _blend(pi_next[:, acts[rows]].T, gamma)
-        g *= 2.0
-        piece -= g
-        g = kernel.state_block(nxt, nxt, rows)
-        g *= _blend(pi_next[rows] @ pi_next.T, gamma)
-        piece += g
-
-    _symmetrize_inplace(buf, block=max(block, 1024))
+    for i0 in range(0, n, block):
+        I = slice(i0, min(i0 + block, n))
+        for j0 in range(i0, n, block):
+            J = slice(j0, min(j0 + block, n))
+            point = kernel.state_block(src, src, I, J)
+            point *= _blend(acts[I, None] == acts[None, J], gamma)
+            succ = kernel.state_block(nxt, nxt, I, J)
+            succ *= _blend(pi_next[I] @ pi_next[J].T, gamma)
+            upper = kernel.state_block(src, nxt, I, J)  # cross[I, J]
+            upper *= pi_t[acts[I], J]
+            lower_t = kernel.state_block(nxt, src, I, J)  # cross[J, I].T
+            lower_t *= pi_t[acts[J], I].T
+            for term in (upper, lower_t):
+                term *= 2.0
+                np.subtract(point, term, out=term)
+                term += succ
+            upper += lower_t
+            upper *= 0.5
+            buf[I, J] = upper
+            buf[J, I] = upper.T
     return KernelMatrices(None, None, None, None, buf)
 
 
@@ -357,32 +356,32 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
     `ridge` >= 0 is added on the diagonal and rows are renormalized to
     sum to one.  The stationary distribution of the result is the
     model-based estimate of the target policy's long-run pair
-    distribution on the sample.
+    distribution on the sample.  `dtype` sets the arithmetic of the
+    kernel row blocks; the result is always float64, written block by
+    block with no full-size copy in `dtype`.
     """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("empty dataset")
     if ridge < 0:
         raise ValueError(f"ridge must be non-negative, got {ridge}")
     gamma, src, nxt, pi_next, acts = _prepare(dataset, policy, kernel, dtype)
+    n = len(dataset)
     counts = (np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)).astype(dtype)
     restart = counts / counts.sum()
     act_onehot = np.zeros((n, pi_next.shape[1]), dtype=dtype)
     act_onehot[np.arange(n), acts] = 1.0
-    raw = np.empty((n, n), dtype=dtype)
+    raw = np.empty((n, n))  # float64 whatever the block dtype
     for r0 in range(0, n, block):
         r1 = min(r0 + block, n)
         g = kernel.state_block(nxt, src, slice(r0, r1))
         g *= counts[None, :]
-        per_action = g @ act_onehot  # (rows, A): anchor kernel mass per action
-        denom = _blend(per_action, gamma, g.sum(axis=1)[:, None])
+        denom = g @ act_onehot  # (rows, A): anchor kernel mass per action
+        if gamma:  # exact match (gamma == 0) needs no row sums
+            denom = _blend(denom, gamma, g.sum(axis=1)[:, None])
         ratio = np.divide(pi_next[r0:r1], denom, out=np.zeros_like(denom), where=denom > 0)
-        # per (row, action) factor, gathered to the anchors' actions
-        g *= _blend(ratio, gamma, ratio.sum(axis=1)[:, None])[:, acts]
+        factor = _blend(ratio, gamma, ratio.sum(axis=1)[:, None]) if gamma else ratio
+        g *= factor[:, acts]  # per (row, action) factor, gathered to the anchors' actions
         g[~np.any(ratio > 0, axis=1)] = restart  # no matched successor pair
         raw[r0:r1] = g
 
-    raw = raw.astype(np.float64, copy=False)
     raw[np.arange(n), np.arange(n)] += float(ridge)
     raw /= raw.sum(axis=1)[:, None]
     return raw

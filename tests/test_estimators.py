@@ -91,6 +91,21 @@ def test_naive_rejects_empty_dataset():
         )
 
 
+@pytest.mark.parametrize("kind", ["tabular", "continuous"])
+def test_kernel_estimators_reject_an_empty_log(kind):
+    if kind == "tabular":
+        states, kernel = np.array([], dtype=int), None
+    else:
+        states, kernel = np.zeros((0, 2)), RbfKernel(1.0, num_actions=2)
+    empty = TransitionDataset(
+        states=states, actions=np.array([], dtype=int), rewards=np.array([]), next_states=states
+    )
+    with pytest.raises(ValueError, match="empty"):
+        blackbox_estimate(empty, UniformPolicy(2), kernel)
+    with pytest.raises(ValueError, match="empty"):
+        model_based_estimate(empty, UniformPolicy(2), kernel)
+
+
 # ---------------------------------------------------------------------------
 # blackbox_estimate
 

@@ -1,5 +1,7 @@
 """Kernels, bandwidth selection, Gram-block assembly, kernel transforms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,14 @@ from bbope.kernels import (
     state_standardizer,
     transformed_kernel,
 )
-from bbope.mdp import TabularMdp, TabularPolicy, UniformPolicy, sample_dataset
+from bbope.mdp import (
+    FunctionPolicy,
+    TabularMdp,
+    TabularPolicy,
+    TransitionDataset,
+    UniformPolicy,
+    sample_dataset,
+)
 from bbope.rng import make_rng
 
 
@@ -29,6 +38,26 @@ def random_policy(num_states, num_actions, seed):
 def tabular_dataset(seed=0, n_traj=3, length=5):
     mdp = model_win(0.4)
     return sample_dataset(mdp, model_win_policy(0.7), n_traj, length, seed=seed)
+
+
+def continuous_dataset(n, seed, dim=2):
+    """n random transitions in R^dim with successors near their states."""
+    rng = make_rng(seed)
+    states = rng.normal(size=(n, dim))
+    return TransitionDataset(
+        states=states,
+        actions=rng.integers(0, 2, size=n),
+        rewards=rng.normal(size=n),
+        next_states=states + 0.3 * rng.normal(size=(n, dim)),
+    )
+
+
+def tilted_policy():
+    """A two-action policy on continuous states whose probabilities vary with s[0]."""
+    def rule(state):
+        p = 1.0 / (1.0 + np.exp(-state[0]))
+        return [p, 1.0 - p]
+    return FunctionPolicy(rule, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +354,62 @@ def test_delta_successor_block_closed_form():
 
 def test_assemble_combined_matches_dense_paths():
     ds = tabular_dataset(seed=7, n_traj=3, length=7)
+    assert len(ds) == 21  # block 3 tiles the rows; blocks 4 and 5 leave a ragged last block
     pol = model_win_policy(0.9)
     for kernel in (DeltaKernel(2), RbfKernel(bandwidth=0.9, num_actions=2, num_states=3)):
         dense = assemble_matrices(ds, pol, kernel)
-        lean = assemble_combined(ds, pol, kernel)
-        assert lean.point is None and lean.combined is None
-        assert np.max(np.abs(lean.sym - dense.sym)) < 1e-12
-        blocked = assemble_combined(ds, pol, kernel, block=3)
-        assert np.array_equal(blocked.sym, lean.sym)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            lean = assemble_combined(ds, pol, kernel, dtype=dtype)
+            assert lean.point is None and lean.combined is None
+            assert lean.sym.dtype == dtype
+            assert np.array_equal(lean.sym, lean.sym.T)
+            assert np.max(np.abs(lean.sym - dense.sym)) < tol
+            for block in (3, 4, 5):
+                blocked = assemble_combined(ds, pol, kernel, dtype=dtype, block=block).sym
+                assert np.array_equal(blocked, blocked.T)
+                if dtype is np.float64:
+                    assert np.array_equal(blocked, lean.sym)
+                else:  # float32 BLAS may round products of tiny blocks differently
+                    assert np.max(np.abs(blocked - lean.sym)) < 1e-6
+
+
+def test_assemble_combined_continuous_off_diagonal_blocks_match_dense():
+    ds = continuous_dataset(30, seed=20)
+    pol = tilted_policy()
+    kernel = RbfKernel(bandwidth=1.3, action_scale=0.8, num_actions=2)
+    dense = assemble_matrices(ds, pol, kernel).sym
+    for block in (7, 8, 30):  # 5, 4 and 1 blocks on each side
+        lean = assemble_combined(ds, pol, kernel, block=block).sym
+        assert np.array_equal(lean, lean.T)
+        assert np.max(np.abs(lean - dense)) < 1e-12
+
+
+def peak_bytes_per_entry(build, n):
+    """Peak traced allocation while build() makes its n-by-n result, per entry."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / n**2
+    finally:
+        tracemalloc.stop()
+
+
+def test_assemble_combined_peak_memory_is_the_float32_output_plus_blocks():
+    ds = continuous_dataset(600, seed=21, dim=4)
+    pol = tilted_policy()
+    kernel = RbfKernel(bandwidth=1.5, num_actions=2)
+    per_entry = peak_bytes_per_entry(
+        lambda: assemble_combined(ds, pol, kernel, dtype=np.float32, block=32), len(ds))
+    assert per_entry < 5.0  # 4 bytes for the output, O(block**2) for the rest
+
+
+def test_smoothed_chain_peak_memory_is_one_float64_matrix():
+    ds = continuous_dataset(600, seed=22, dim=4)
+    pol = tilted_policy()
+    kernel = RbfKernel(bandwidth=1.5, num_actions=2)
+    per_entry = peak_bytes_per_entry(
+        lambda: smoothed_transition_matrix(ds, pol, kernel, dtype=np.float32, block=32), len(ds))
+    assert per_entry < 10.0  # the float64 result; no float32 copy of it
 
 
 def test_assemble_combined_and_chain_reject_other_kernels_alike():
