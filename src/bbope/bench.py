@@ -226,23 +226,18 @@ class ExperimentConfig:
         version = doc.pop("config_version", 1)
         if version != 1:
             raise ValueError(f"unsupported config_version {version}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "kernel" in doc and isinstance(doc["kernel"], dict):
-            kknown = {f.name for f in dataclasses.fields(KernelSpec)}
-            kbad = set(doc["kernel"]) - kknown
-            if kbad:
-                raise ValueError(f"unknown kernel keys: {sorted(kbad)}")
-            doc["kernel"] = KernelSpec(**doc["kernel"])
-        if "optimizer" in doc and isinstance(doc["optimizer"], dict):
-            oknown = {f.name for f in dataclasses.fields(OptimizerConfig)}
-            obad = set(doc["optimizer"]) - oknown
-            if obad:
-                raise ValueError(f"unknown optimizer keys: {sorted(obad)}")
-            doc["optimizer"] = OptimizerConfig(**doc["optimizer"])
+        _reject_unknown_keys(doc, cls, "config")
+        for key, spec in (("kernel", KernelSpec), ("optimizer", OptimizerConfig)):
+            if isinstance(doc.get(key), dict):
+                _reject_unknown_keys(doc[key], spec, key)
+                doc[key] = spec(**doc[key])
         return cls(**doc).validate()
+
+
+def _reject_unknown_keys(doc, spec, what):
+    unknown = set(doc) - {f.name for f in dataclasses.fields(spec)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def build_config(experiment, env_name=None, overrides=None, paper_scale=False):

@@ -318,21 +318,21 @@ def _mountain_car_rule(state):
     return out
 
 
+_PENDULUM_TORQUES = np.array(_C["pendulum.torques"])
+_PENDULUM_UPRIGHT_POT = 3.0 * _C["pendulum.gravity"] / (2.0 * _C["pendulum.length"])
+
+
 def _pendulum_rule(state):
     th, om = _wrap_angle(state[0]), state[1]
-    torques = np.array(_C["pendulum.torques"])
-    g = _C["pendulum.gravity"]
-    l = _C["pendulum.length"]
-    upright_pot = 3.0 * g / (2.0 * l)
     if math.cos(th) > 0.9:
         u = -8.0 * th - 2.0 * om  # linear capture near the top
     else:
-        energy = 0.5 * om**2 + upright_pot * math.cos(th)
-        gap = upright_pot - energy
+        energy = 0.5 * om**2 + _PENDULUM_UPRIGHT_POT * math.cos(th)
+        gap = _PENDULUM_UPRIGHT_POT - energy
         direction = om if abs(om) > 1e-3 else 1.0
-        u = torques[-1] * math.copysign(1.0, direction * gap)
-    idx = int(np.argmin(np.abs(torques - u)))
-    out = np.zeros(len(torques))
+        u = _PENDULUM_TORQUES[-1] * math.copysign(1.0, direction * gap)
+    idx = int(np.argmin(np.abs(_PENDULUM_TORQUES - u)))
+    out = np.zeros(len(_PENDULUM_TORQUES))
     out[idx] = 1.0
     return out
 

@@ -131,7 +131,8 @@ def model_based_estimate(dataset, policy, kernel=None, ridge=1e-6, tol=1e-10,
     distribution by power iteration, and averages the logged rewards
     under it.  Tabular datasets are compressed first; with the default
     exact-match kernel this reproduces the count-based empirical model.
-    The kernel must be an RbfKernel or a DeltaKernel.
+    The kernel must be an RbfKernel or a DeltaKernel, and the chain's rows
+    (distinct triples, if tabular) at most the default max_matrix_rows.
     """
     counts = None
     work = dataset
@@ -140,6 +141,7 @@ def model_based_estimate(dataset, policy, kernel=None, ridge=1e-6, tol=1e-10,
         work, counts, _ = compress_tabular(dataset)
     elif kernel is None:
         raise ValueError("continuous data needs an explicit kernel")
+    _check_matrix_rows(len(work), OptimizerConfig())
     P = smoothed_transition_matrix(work, policy, kernel, ridge=ridge, counts=counts, dtype=dtype)
     dist = stationary_of_matrix(P, tol=tol, max_iter=max_iter)
     estimate = float(np.sum(dist * np.asarray(work.rewards)))

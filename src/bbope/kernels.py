@@ -381,6 +381,7 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
         g *= factor[:, acts]  # per (row, action) factor, gathered to the anchors' actions
         g[~np.any(ratio > 0, axis=1)] = restart  # no matched successor pair
         raw[r0:r1] = g
+        del g  # free this block before state_block builds the next one
 
     raw[np.arange(n), np.arange(n)] += float(ridge)
     raw /= raw.sum(axis=1)[:, None]

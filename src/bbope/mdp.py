@@ -100,16 +100,20 @@ class TabularMdp:
         return self.transition.shape[1]
 
 
-def _check_prob_row(row, what):
-    row = np.asarray(row, dtype=np.float64)
-    total = row.sum()
-    if not math.isfinite(total):  # a NaN or infinite entry makes the sum non-finite
-        raise ValueError(f"{what} has non-finite entries")
-    if np.any(row < -1e-12):
-        raise ValueError(f"{what} has negative entries")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"{what} sums to {total!r}, not 1")
-    return np.clip(row, 0.0, None)
+def _check_prob_rows(rows, what):
+    """Check float64 (n, A) probability rows and clip them at 0; what(i) names a bad row i."""
+    totals = rows.sum(axis=1)
+    ok = (np.abs(totals - 1.0) <= 1e-9) & (rows.min(axis=1) >= -1e-12)  # NaN fails both
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not math.isfinite(totals[i]):  # a NaN or infinite entry makes the sum non-finite
+            problem = "has non-finite entries"
+        elif rows[i].min() < -1e-12:
+            problem = "has negative entries"
+        else:
+            problem = f"sums to {totals[i]!r}, not 1"
+        raise ValueError(f"{what(i)} {problem}")
+    return np.maximum(rows, 0.0)
 
 
 class TabularPolicy:
@@ -119,9 +123,7 @@ class TabularPolicy:
         table = np.array(table, dtype=np.float64)
         if table.ndim != 2:
             raise ValueError(f"policy table must be (num_states, num_actions), got shape {table.shape}")
-        for s in range(table.shape[0]):
-            table[s] = _check_prob_row(table[s], f"policy row for state {s}")
-        self.table = table
+        self.table = _check_prob_rows(table, lambda s: f"policy row for state {s}")
 
     @property
     def num_actions(self):
@@ -158,13 +160,14 @@ class FunctionPolicy:
         return self._num_actions
 
     def action_probabilities(self, state):
-        row = np.asarray(self.fn(state), dtype=np.float64)
-        if row.shape != (self._num_actions,):
-            raise PolicyStateError(state, f"rule returned shape {row.shape}")
-        return _check_prob_row(row, f"{self.name} output at {state!r}")
+        return self.prob_matrix([state])[0]
 
     def prob_matrix(self, states):
-        return np.stack([self.action_probabilities(s) for s in states])
+        rows = [np.asarray(self.fn(s), dtype=np.float64) for s in states]
+        for s, row in zip(states, rows):
+            if row.shape != (self._num_actions,):
+                raise PolicyStateError(s, f"rule returned shape {row.shape}")
+        return _check_prob_rows(np.stack(rows), lambda i: f"{self.name} output at {states[i]!r}")
 
 
 class UniformPolicy:

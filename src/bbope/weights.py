@@ -225,12 +225,9 @@ def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None)
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -261,12 +258,17 @@ class MlpWeightModel:
             layers.append((W, b))
         return cls(weights=layers, input_dim=int(input_dim))
 
-    def log_weights(self, X):
-        h = np.asarray(X, dtype=np.float64)
+    def _forward(self, X):
+        """One forward pass: the activations [X, sigmoid layers..., linear
+        output] and the log-weights, the output clipped to [-80, 80]."""
+        acts = [np.asarray(X, dtype=np.float64)]
         for i, (W, b) in enumerate(self.weights):
-            z = h @ W + b
-            h = z if i == len(self.weights) - 1 else _sigmoid(z)
-        return np.clip(h[:, 0], -80.0, 80.0)
+            z = acts[-1] @ W + b
+            acts.append(z if i == len(self.weights) - 1 else _sigmoid(z))
+        return acts, np.clip(acts[-1][:, 0], -80.0, 80.0)
+
+    def log_weights(self, X):
+        return self._forward(X)[1]
 
     def flat_parameters(self):
         return np.concatenate([np.concatenate([W.reshape(-1), b]) for W, b in self.weights])
@@ -281,34 +283,27 @@ class MlpWeightModel:
         assert pos == len(flat)
 
 
-def mlp_forward_backward(model, X, upstream):
-    """Outputs and exact parameter gradient of sum_i upstream_i * o(x_i).
+def mlp_forward_backward(model, X, upstream_of):
+    """Log-weights and the exact parameter gradient of sum_i u_i * o(x_i).
 
-    Plain reverse-mode through the sigmoid stack; returns (outputs,
-    flat_grad) with flat_grad laid out like `flat_parameters`.
+    One forward pass gives the log-weights (the outputs o clipped to
+    [-80, 80], as `log_weights` returns them); u = upstream_of(log-weights)
+    is the upstream gradient, and plain reverse-mode through the sigmoid
+    stack reuses the pass's activations.  The gradient is that of the
+    unclipped outputs.  Returns (log_weights, flat_grad) with flat_grad
+    laid out like `flat_parameters`.
     """
-    X = np.asarray(X, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    acts = [X]
-    zs = []
-    h = X
-    L = len(model.weights)
-    for i, (W, b) in enumerate(model.weights):
-        z = h @ W + b
-        zs.append(z)
-        h = z if i == L - 1 else _sigmoid(z)
-        acts.append(h)
-    outputs = acts[-1][:, 0]
-
-    grads = [None] * L
+    acts, logw = model._forward(X)
+    upstream = np.asarray(upstream_of(logw), dtype=np.float64)
+    grads = [None] * len(model.weights)
     delta = upstream[:, None]  # gradient w.r.t. the final linear pre-activation
-    for i in range(L - 1, -1, -1):
+    for i in reversed(range(len(grads))):
         grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         if i > 0:
-            sig = acts[i]  # sigmoid(zs[i-1]): reuse the activation for its derivative
+            sig = acts[i]  # the sigmoid's output gives its derivative
             delta = (delta @ model.weights[i][0].T) * sig * (1.0 - sig)
     flat = np.concatenate([np.concatenate([gW.reshape(-1), gb]) for gW, gb in grads])
-    return outputs, flat
+    return logw, flat
 
 
 def mlp_inputs(dataset, kernel=None):
@@ -363,14 +358,12 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
         model = MlpWeightModel.create(X.shape[1], hidden=config.hidden_layers, seed=config.seed)
     log_counts = 0.0 if counts is None else np.log(counts)
 
-    theta = model.flat_parameters()
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     trace = []
-    for epoch in range(1, config.epochs + 1):
-        logw = model.log_weights(X) + log_counts
-        w_eff = np.exp(logw)
+
+    def loss_gradient(logw):
+        """Loss at the current log-weights, recorded in the trace; returns its gradient."""
+        epoch = len(trace) + 1
+        w_eff = np.exp(logw + log_counts)
         if config.batch_pairs <= 0:
             est = log_loss_full(w_eff, matrices)
         else:
@@ -379,7 +372,15 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
             )
         if not np.isfinite(est.value):
             raise FloatingPointError(f"loss became non-finite ({est.value}) at epoch {epoch}")
-        _, flat_grad = mlp_forward_backward(model, X, est.gradient)
+        trace.append(est.value)
+        return est.gradient
+
+    theta = model.flat_parameters()
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for epoch in range(1, config.epochs + 1):
+        _, flat_grad = mlp_forward_backward(model, X, loss_gradient)
         m1 = beta1 * m1 + (1.0 - beta1) * flat_grad
         m2 = beta2 * m2 + (1.0 - beta2) * flat_grad**2
         hat1 = m1 / (1.0 - beta1**epoch)
@@ -388,15 +389,11 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"parameters became non-finite at epoch {epoch}")
         model.set_flat_parameters(theta)
-        trace.append(est.value)
 
     logw = model.log_weights(X)
-    w_eff = np.exp(logw + log_counts)
-    denom = w_eff.sum()
+    w = np.exp(logw) / np.exp(logw + log_counts).sum()
     if inverse is not None:
-        w = np.exp(logw)[inverse] / denom
-    else:
-        w = np.exp(logw) / denom
+        w = w[inverse]
     info = {"loss_trace": np.array(trace), "iterations": config.epochs, "final_loss": trace[-1] if trace else None}
     return w, model, info
 

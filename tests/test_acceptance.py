@@ -179,8 +179,9 @@ def test_criterion_06_gradient_checks():
             return log_loss_full(np.exp(model.log_weights(X)), mats).value
 
         model.set_flat_parameters(theta)
-        est = log_loss_full(np.exp(model.log_weights(X)), mats)
-        _, analytic = mlp_forward_backward(model, X, est.gradient)
+        _, analytic = mlp_forward_backward(
+            model, X, lambda logw, mats=mats: log_loss_full(np.exp(logw), mats).gradient
+        )
         for j in range(theta.size):
             up, dn = theta.copy(), theta.copy()
             up[j] += h

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bbope import estimators
 from bbope.envs import model_win, model_win_policy, random_tabular_mdp
 from bbope.estimators import (
     aggregate,
@@ -291,6 +292,39 @@ def test_model_based_rejects_other_kernels():
     kt = transformed_kernel(DeltaKernel(2), model_win(0.4), target_policy())
     with pytest.raises(ValueError, match="RbfKernel and DeltaKernel"):
         model_based_estimate(behavior_data(3, 8, seed=10), target_policy(), kernel=kt)
+
+
+def tabular_log_over_the_cap():
+    """20 001 distinct (s, a, s') triples of a 100-state, 4-action MDP: one more
+    than the default max_matrix_rows."""
+    codes = np.arange(OptimizerConfig().max_matrix_rows + 1)
+    log = TransitionDataset(
+        states=codes // 400, actions=(codes // 100) % 4, rewards=np.zeros(len(codes)),
+        next_states=codes % 100,
+    )
+    return log, None
+
+
+def continuous_log_over_the_cap():
+    n = OptimizerConfig().max_matrix_rows + 1
+    rng = make_rng(12)
+    log = TransitionDataset(
+        states=rng.normal(size=(n, 2)), actions=rng.integers(0, 4, size=n),
+        rewards=np.zeros(n), next_states=rng.normal(size=(n, 2)),
+    )
+    return log, RbfKernel(bandwidth=1.0, num_actions=4)
+
+
+@pytest.mark.parametrize("make_log", [tabular_log_over_the_cap, continuous_log_over_the_cap])
+def test_model_based_refuses_a_chain_over_the_row_cap(make_log, monkeypatch):
+    ds, kernel = make_log()
+
+    def build(*args, **kwargs):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(estimators, "smoothed_transition_matrix", build)
+    with pytest.raises(ValueError, match="20001 rows .* max_matrix_rows=20000"):
+        model_based_estimate(ds, UniformPolicy(4), kernel=kernel)
 
 
 def test_model_based_reports_nonconvergence_with_residual():

@@ -412,6 +412,17 @@ def test_smoothed_chain_peak_memory_is_one_float64_matrix():
     assert per_entry < 10.0  # the float64 result; no float32 copy of it
 
 
+def test_smoothed_chain_frees_each_row_block_before_the_next():
+    n, block = 2000, 1024
+    ds = continuous_dataset(n, seed=23, dim=4)
+    kernel = RbfKernel(bandwidth=1.5, num_actions=2)
+    per_entry = peak_bytes_per_entry(
+        lambda: smoothed_transition_matrix(ds, UniformPolicy(2), kernel, dtype=np.float32,
+                                           block=block), n)
+    # the float64 result, the block being built plus one float32 temporary, 1 MiB slack
+    assert per_entry * n**2 <= 8 * n**2 + 2 * (block * n * 4) + 2**20
+
+
 def test_assemble_combined_and_chain_reject_other_kernels_alike():
     ds = tabular_dataset(seed=8, n_traj=2, length=4)
     pol = model_win_policy(0.9)

@@ -81,6 +81,8 @@ def test_mdp_rejects_nan(field):
 def test_policy_rows_validate():
     with pytest.raises(ValueError):
         TabularPolicy(np.array([[0.6, 0.6]]))
+    with pytest.raises(ValueError, match="policy row for state 1 sums to"):
+        TabularPolicy([[0.5, 0.5], [0.6, 0.6], [np.nan, 1.0]])
 
 
 def test_policy_rejects_nan():
@@ -101,6 +103,29 @@ def test_policy_copies_the_callers_table():
     assert policy.table[0, 1] == 0.0
     with pytest.raises(ValueError, match="num_states, num_actions"):
         TabularPolicy(np.array([0.5, 0.5]))
+
+
+def test_function_policy_formats_a_state_only_when_a_check_fails():
+    formatted = []
+
+    class State:
+        def __init__(self, p):
+            self.p = p
+
+        def __repr__(self):
+            formatted.append(self.p)
+            return f"State({self.p})"
+
+    policy = FunctionPolicy(lambda state: [1.0 - state.p, state.p], 2, name="rule")
+    assert np.array_equal(policy.action_probabilities(State(0.25)), [0.75, 0.25])
+    assert np.array_equal(policy.prob_matrix([State(0.0), State(1.0)]), [[1.0, 0.0], [0.0, 1.0]])
+    assert formatted == []
+    with pytest.raises(ValueError, match=r"rule output at State\(1.5\) has negative entries"):
+        policy.prob_matrix([State(0.5), State(1.5), State(2.0)])
+    assert formatted == [1.5]
+    with pytest.raises(PolicyStateError) as exc:
+        FunctionPolicy(lambda state: [1.0], 2).prob_matrix([State(0.5)])
+    assert exc.value.state.p == 0.5
 
 
 # ---------------------------------------------------------------------------

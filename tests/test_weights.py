@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bbope import weights
 from bbope.envs import model_win, model_win_policy
 from bbope.estimators import naive_average
 from bbope.kernels import DeltaKernel, KernelMatrices, RbfKernel, assemble_combined
@@ -309,7 +310,7 @@ def test_mlp_all_zero_parameters_output_zero():
     model.set_flat_parameters(np.zeros_like(model.flat_parameters()))
     rng = make_rng(2)
     x = rng.normal(size=(7, 4))
-    out, _ = mlp_forward_backward(model, x, np.zeros(7))
+    out, _ = mlp_forward_backward(model, x, lambda _: np.zeros(7))
     assert np.array_equal(out, np.zeros(7))
     assert np.array_equal(np.exp(model.log_weights(x)), np.ones(7))
 
@@ -318,7 +319,7 @@ def test_mlp_final_bias_gradient_is_one():
     model = MlpWeightModel.create(3, hidden=(4,), seed=6)
     rng = make_rng(3)
     x = rng.normal(size=(1, 3))
-    _, grad = mlp_forward_backward(model, x, np.array([1.0]))
+    _, grad = mlp_forward_backward(model, x, lambda _: np.array([1.0]))
     # flat layout ends with the final layer's bias; a linear output means
     # d o / d bias = 1 exactly
     assert grad[-1] == 1.0
@@ -331,14 +332,14 @@ def test_mlp_jacobian_matches_finite_differences():
     model.set_flat_parameters(theta)
     x = rng.normal(size=(5, 3))
     upstream = rng.normal(size=5)
-    _, grad = mlp_forward_backward(model, x, upstream)
+    _, grad = mlp_forward_backward(model, x, lambda _: upstream)
     h = 1e-6
     for i in range(len(theta)):
         for sign, store in ((1.0, "plus"), (-1.0, "minus")):
             shifted = theta.copy()
             shifted[i] += sign * h
             model.set_flat_parameters(shifted)
-            out, _ = mlp_forward_backward(model, x, upstream)
+            out, _ = mlp_forward_backward(model, x, lambda _: upstream)
             if store == "plus":
                 f_plus = float(upstream @ out)
             else:
@@ -351,7 +352,7 @@ def test_mlp_jacobian_matches_finite_differences():
 def test_mlp_rejects_mismatched_input_dimension():
     model = MlpWeightModel.create(3, hidden=(4,), seed=0)
     with pytest.raises(ValueError):
-        mlp_forward_backward(model, np.zeros((2, 5)), np.zeros(2))
+        mlp_forward_backward(model, np.zeros((2, 5)), lambda _: np.zeros(2))
 
 
 def test_mlp_loss_gradient_matches_finite_differences():
@@ -366,8 +367,7 @@ def test_mlp_loss_gradient_matches_finite_differences():
         model.set_flat_parameters(params)
         return log_loss_full(np.exp(model.log_weights(x)), matrices).value
 
-    est = log_loss_full(np.exp(model.log_weights(x)), matrices)
-    _, grad = mlp_forward_backward(model, x, est.gradient)
+    _, grad = mlp_forward_backward(model, x, lambda logw: log_loss_full(np.exp(logw), matrices).gradient)
     h = 1e-5
     for i in range(len(theta)):
         plus, minus = theta.copy(), theta.copy()
@@ -392,6 +392,47 @@ def test_training_is_bit_reproducible():
     other = OptimizerConfig(method="sgd_adamlike", epochs=40, batch_pairs=6, seed=10)
     w_c, _, _ = train_parametric(ds, UniformPolicy(2), kernel, config=other)
     assert not np.array_equal(w_a, w_c)
+
+
+def test_training_runs_one_forward_pass_per_epoch(monkeypatch):
+    ds, kernel, _ = continuous_instance(36, n=8)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(weights, "mlp_forward_backward",
+                        counted("mlp_forward_backward", weights.mlp_forward_backward))
+    monkeypatch.setattr(MlpWeightModel, "log_weights",
+                        counted("log_weights", MlpWeightModel.log_weights))
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=7)
+    train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    assert calls == ["mlp_forward_backward"] * 7 + ["log_weights"]
+
+
+@pytest.mark.parametrize("batch_pairs, estimate, final_loss", [
+    (0, "0x1.0107759a8b1b8p-4", "-0x1.71e580525f791p+1"),
+    (6, "0x1.b7a80423b77f2p-3", "-0x1.265b9c3a1570ap+1"),
+])
+def test_short_fit_is_pinned_to_the_bit(batch_pairs, estimate, final_loss):
+    """Any change to the MLP's float operations or their order shows here."""
+    ds, kernel, _ = continuous_instance(37, n=12)
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=50, batch_pairs=batch_pairs, seed=2)
+    w, _, info = train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    assert float(np.sum(w * ds.rewards)) == float.fromhex(estimate)
+    assert info["final_loss"] == float.fromhex(final_loss)
+
+
+def test_short_tabular_fit_is_pinned_to_the_bit():
+    ds = sample_dataset(model_win(0.4), model_win_policy(0.5), num_trajectories=10, length=20, seed=3)
+    kernel = RbfKernel(bandwidth=1.0, action_scale=1.0, num_states=3, num_actions=2)
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=50, seed=2)
+    w, _, info = train_parametric(ds, model_win_policy(0.9), kernel, config=cfg)
+    assert float(np.sum(w * ds.rewards)) == float.fromhex("-0x1.979ba4817ca27p-5")
+    assert info["final_loss"] == float.fromhex("-0x1.3874657193aecp+2")
 
 
 def test_training_outputs_live_on_the_simplex():
