@@ -40,7 +40,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,6 +337,8 @@ def _run_shape(cfg, setting):
 def _map_tasks(worker, tasks, workers):
     if workers <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # slow to import; serial runs never need it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=1))
 

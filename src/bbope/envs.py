@@ -382,10 +382,7 @@ def random_tabular_mdp(num_states, num_actions, seed):
         raise ValueError(f"need num_states >= 2 and num_actions >= 1, got {S}, {A}")
     rng = make_rng(seed)
     mix = max(0.01, 1.2 * S * 1e-3)
-    P = np.empty((S, A, S))
-    for s in range(S):
-        for a in range(A):
-            P[s, a] = (1.0 - mix) * rng.dirichlet(np.ones(S)) + mix / S
+    P = (1.0 - mix) * rng.dirichlet(np.ones(S), size=(S, A)) + mix / S
     R = rng.uniform(-1.0, 1.0, size=(S, A))
     start = (1.0 - mix) * rng.dirichlet(np.ones(S)) + mix / S
     return TabularMdp(transition=P, reward=R, start=start)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import make_rng, categorical, categorical_rows
+from .rng import make_rng, categorical_rows
 
 __all__ = [
     "TabularMdp",
@@ -342,29 +342,15 @@ def dataset_from_trajectories(trajectories):
     )
 
 
-def sample_trajectory(mdp, policy, length, seed, start_state=None):
+def sample_trajectory(mdp, policy, length, seed):
     """Roll out `length` transitions from a tabular MDP under `policy`.
 
-    The start state is drawn from the MDP's start distribution unless
-    given explicitly.  All draws go through the package categorical rule,
-    so the same arguments always produce the same trajectory.
+    The one-trajectory case of :func:`sample_dataset`: the start state is
+    drawn from the MDP's start distribution, and the same arguments
+    always produce the same trajectory.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    rng = make_rng(seed)
-    s = categorical(rng, mdp.start) if start_state is None else int(start_state)
-    states = np.empty(length + 1, dtype=np.int64)
-    actions = np.empty(length, dtype=np.int64)
-    rewards = np.empty(length, dtype=np.float64)
-    states[0] = s
-    for t in range(length):
-        a = categorical(rng, policy.action_probabilities(s))
-        s_next = categorical(rng, mdp.transition[s, a])
-        actions[t] = a
-        rewards[t] = mdp.reward[s, a]
-        states[t + 1] = s_next
-        s = s_next
-    return Trajectory(states=states, actions=actions, rewards=rewards)
+    ds = sample_dataset(mdp, policy, 1, length, seed)
+    return Trajectory(states=ds.visit_states(), actions=ds.actions, rewards=ds.rewards)
 
 
 def sample_dataset(mdp, policy, num_trajectories, length, seed, total_budget=None):
@@ -372,9 +358,10 @@ def sample_dataset(mdp, policy, num_trajectories, length, seed, total_budget=Non
 
     Draws are consumed step-major (all trajectories advance together), so
     the result is deterministic in (mdp, policy, shape, seed) regardless
-    of how the caller later splits the data.  If ``total_budget`` is
-    given, the last trajectory is truncated so the pooled transition
-    count equals the budget exactly.
+    of how the caller later splits the data.  The pooled log lists the
+    trajectories one after another.  If ``total_budget`` is given, the
+    last trajectory is truncated so the pooled transition count equals
+    the budget exactly.
     """
     m, T = int(num_trajectories), int(length)
     if m < 1 or T < 1:
@@ -394,19 +381,16 @@ def sample_dataset(mdp, policy, num_trajectories, length, seed, total_budget=Non
         actions[:, t] = acts
         states[:, t + 1] = nxt
         cur = nxt.astype(np.int64)
-    trajectories = []
-    for i in range(m):
-        keep = T
-        if total_budget is not None and i == m - 1:
-            keep = int(total_budget) - (m - 1) * T
-        trajectories.append(
-            Trajectory(
-                states=states[i, : keep + 1].copy(),
-                actions=actions[i, :keep].copy(),
-                rewards=mdp.reward[states[i, :keep], actions[i, :keep]].astype(np.float64),
-            )
-        )
-    return dataset_from_trajectories(trajectories)
+    n = m * T if total_budget is None else int(total_budget)
+    sources = states[:, :-1].reshape(-1)[:n]
+    actions = actions.reshape(-1)[:n]
+    return TransitionDataset(
+        states=sources,
+        actions=actions,
+        rewards=mdp.reward[sources, actions],
+        next_states=states[:, 1:].reshape(-1)[:n],
+        traj_starts=np.arange(0, n, T, dtype=np.int64),
+    )
 
 
 def discount_to_average(mdp, discount=None):

@@ -114,7 +114,7 @@ def compress_tabular(dataset):
     return compressed, counts.astype(np.float64), inverse
 
 
-def minimize_quadratic_on_simplex(K_sym, config, start=None):
+def minimize_quadratic_on_simplex(K_sym, config):
     """Exponentiated-gradient descent of x^T K x over the simplex.
 
     Multiplicative update x <- x * exp(-eta * 2Kx), renormalized.  The
@@ -124,7 +124,7 @@ def minimize_quadratic_on_simplex(K_sym, config, start=None):
     """
     K = np.asarray(K_sym, dtype=np.float64)
     d = K.shape[0]
-    x = np.full(d, 1.0 / d) if start is None else normalize(start)
+    x = np.full(d, 1.0 / d)
     f = float(x @ K @ x)
     trace = [f]
     eta = float(config.step_size)
@@ -328,7 +328,7 @@ def mlp_inputs(dataset, kernel=None):
     return np.concatenate([feats, onehot], axis=1)
 
 
-def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=None):
+def train_parametric(dataset, policy, kernel, config=None, matrices=None):
     """Fit the MLP weight model by seeded gradient descent on the log loss.
 
     Tabular datasets are first compressed to distinct triples (the loss
@@ -354,8 +354,7 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None, model=
             f"{len(work)} (tabular inputs are compressed first; assemble accordingly)"
         )
     X = mlp_inputs(work, kernel)
-    if model is None:
-        model = MlpWeightModel.create(X.shape[1], hidden=config.hidden_layers, seed=config.seed)
+    model = MlpWeightModel.create(X.shape[1], hidden=config.hidden_layers, seed=config.seed)
     log_counts = 0.0 if counts is None else np.log(counts)
 
     trace = []

@@ -1,5 +1,6 @@
 """Concrete environments: the 3-state gamble MDP, control tasks, wrappers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_random_mdp_seed_determinism():
     assert np.array_equal(a.transition, b.transition)
     assert np.array_equal(a.reward, b.reward)
     assert not np.array_equal(a.transition, c.transition)
+
+
+# (seed, S, A) -> SHA-256 over transition, reward and start bytes.
+RANDOM_MDP_DIGESTS = {
+    (0, 30, 3): "58dbad141b1743cc11b89823673ba33034ee55798e5e824b6e017b518397af37",
+    (1, 4, 2): "1d127dab3b4be605fac0d21e28f1c934e670c47acb78b56ca9e134f166ea8ea6",
+    (2, 7, 1): "e0320417f5761ac9787d0c6d4397dd13eda25b427d9e7a59b9410132d18c533a",
+}
+
+
+@pytest.mark.parametrize("seed,S,A", sorted(RANDOM_MDP_DIGESTS))
+def test_random_mdp_bytes_are_pinned(seed, S, A):
+    mdp = random_tabular_mdp(S, A, seed=seed)
+    h = hashlib.sha256()
+    for arr in (mdp.transition, mdp.reward, mdp.start):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == RANDOM_MDP_DIGESTS[seed, S, A]
 
 
 def test_random_mdp_rejects_tiny_spaces():

@@ -1,9 +1,11 @@
 """Core MDP types, trajectory generation, and the discounted reduction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from bbope.envs import model_win, model_win_policy
+from bbope.envs import model_win, model_win_policy, random_tabular_mdp
 from bbope.mdp import (
     FunctionPolicy,
     MixedPolicy,
@@ -18,6 +20,7 @@ from bbope.mdp import (
     sample_trajectory,
 )
 from bbope.oracle import exact_average_reward, exact_discounted_value, exact_stationary
+from bbope.rng import make_rng
 
 
 def one_state_mdp(reward=0.0):
@@ -39,6 +42,22 @@ def three_state_chain():
     )
     R = np.array([[1.0], [0.0], [-1.0]])
     return TabularMdp(transition=P, reward=R, start=np.array([1.0, 0.0, 0.0]))
+
+
+def random_policy(num_states, num_actions, seed):
+    rng = make_rng(seed)
+    table = rng.uniform(0.1, 1.0, size=(num_states, num_actions))
+    return TabularPolicy(table / table.sum(axis=1, keepdims=True))
+
+
+def digest(*arrays):
+    """SHA-256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +205,23 @@ def test_visit_frequencies_match_exact_stationary():
     freq = np.bincount(np.asarray(traj.states)[:-1], minlength=3) / len(traj)
     marginal = exact_stationary(mdp, pol).state_marginal
     assert np.max(np.abs(freq - marginal)) < 0.02
+
+
+# The exact bytes a seed yields: estimates and benchmark CSVs depend on them.
+TRAJECTORY_DIGESTS = {
+    "random": "80f90e85e546220d43797e815fa713db6bc0ae6c8e8e910134e414e51ffcfb7a",
+    "modelwin": "c2fb01e42a386f60166daa25433b46206d6eaf506c652e960e36ac4368d8b7ab",
+}
+
+
+@pytest.mark.parametrize("world", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_bytes_are_pinned(world):
+    if world == "random":
+        mdp, pol = random_tabular_mdp(30, 3, seed=3), random_policy(30, 3, seed=4)
+    else:
+        mdp, pol = model_win(0.4), model_win_policy(0.9)
+    traj = sample_trajectory(mdp, pol, 500, seed=5)
+    assert digest(traj.states, traj.actions, traj.rewards) == TRAJECTORY_DIGESTS[world]
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +392,34 @@ def test_sample_dataset_within_trajectory_chaining():
     ds = sample_dataset(mdp, UniformPolicy(1), 4, 5, seed=3)
     for lo, hi in zip(ds.traj_starts, list(ds.traj_starts[1:]) + [len(ds)]):
         assert np.array_equal(ds.next_states[lo : hi - 1], ds.states[lo + 1 : hi])
+
+
+# (S, A, T, budget): 5 trajectories of length T, pooled in full or cut to
+# 4*T + ceil(T/2) transitions (at T = 1 no cut is possible).  Pins the
+# exact bytes of every field.
+DATASET_DIGESTS = {
+    (30, 3, 1, "full"): "96038bb11f75fc38cf8a68ed56d534fc9e86f3e8ea27fb84c59fea0495f91a19",
+    (30, 3, 4, "full"): "c699c282615b54765ee59ffd68cba952873ee83138af2163375761e07360b190",
+    (30, 3, 4, "cut"): "3b2bd049c6437e29600ffc77ae9fdcef70ca562015e6a07c1dbbf51c47cdc774",
+    (30, 3, 128, "full"): "a0afe596ae959335207f675444f54e297c742ca66db28bd8390a9c99f3c32930",
+    (30, 3, 128, "cut"): "556263d07ff10b9f4b8fb692e07db7efe24e5fda4a9149b278f0aa13848d1349",
+    (3, 2, 1, "full"): "e9c14e6eb97aaed6bc38f680b2231bf8ef8a6a3213638a6fdb96ea86cf0df77e",
+    (3, 2, 4, "full"): "77ac55f1ec689aff0751787bdc4194e27bc22b9fe8675f705a87d1049bdf1700",
+    (3, 2, 4, "cut"): "56559902f919395de3772ee603d4a27bac4bbe8851145fa23bd472ecddd9f472",
+    (3, 2, 128, "full"): "0e94ed20f2400d81beea7b128f8f2091adf3fbb50e4f96fb24ddfce7c516e595",
+    (3, 2, 128, "cut"): "3e03101bdee046cf4bbe16ee062023a4d36a0df1928580e990353bad3501763e",
+    (5, 1, 1, "full"): "0eac41e579a4e83a840c739080db6a98ded74a3e311e017a71c92e3ab6ddf7e8",
+    (5, 1, 4, "full"): "f69d6ef15961e78d4b235b9a0a5e4e905b09a08ee8daefbac138dbf1b0022411",
+    (5, 1, 4, "cut"): "dc5c415bf76c45ce87cc73b47d264c81c7ca4f84a2840f9611e20d5c5bcf81cc",
+    (5, 1, 128, "full"): "64809357b16999430b1fc4d17ca5f649ef734af56b8f96d57eefc9583851c9c3",
+    (5, 1, 128, "cut"): "1bd6250e47e8dfedae56485a5b13f4af1d799cd14c0b0e933732e4d0d7c74edc",
+}
+
+
+@pytest.mark.parametrize("S,A,T,budget", sorted(DATASET_DIGESTS))
+def test_sample_dataset_bytes_are_pinned(S, A, T, budget):
+    mdp, pol = random_tabular_mdp(S, A, seed=S), random_policy(S, A, seed=A)
+    total = None if budget == "full" else 4 * T + (T + 1) // 2
+    ds = sample_dataset(mdp, pol, 5, T, seed=T, total_budget=total)
+    fields = (ds.states, ds.actions, ds.rewards, ds.next_states, ds.traj_starts)
+    assert digest(*fields) == DATASET_DIGESTS[S, A, T, budget]
