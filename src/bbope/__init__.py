@@ -32,145 +32,19 @@ Layout:
 """
 
 from .version import VERSION as __version__
-
-from .mdp import (
-    TabularMdp,
-    TabularPolicy,
-    FunctionPolicy,
-    UniformPolicy,
-    MixedPolicy,
-    PolicyStateError,
-    Transition,
-    Trajectory,
-    TransitionDataset,
-    sample_trajectory,
-    sample_dataset,
-    dataset_from_trajectories,
-    discount_to_average,
-    mix_policies,
-)
-from .envs import (
-    ContinuousEnv,
-    CONTROL_NAMES,
-    classic_control,
-    infinite_horizon,
-    model_win,
-    model_win_policy,
-    random_tabular_mdp,
-    sample_env_dataset,
-    sample_env_trajectory,
-    scripted_near_optimal,
-)
-from .oracle import (
-    ConvergenceError,
-    StationaryDistribution,
-    brute_force_simplex_min,
-    check_flow_identity,
-    exact_average_reward,
-    exact_backward_apply,
-    exact_discounted_value,
-    exact_stationary,
-    state_action_chain,
-    stationary_of_matrix,
-)
-from .kernels import (
-    DeltaKernel,
-    Kernel,
-    KernelMatrices,
-    RbfKernel,
-    TransformedKernel,
-    assemble_combined,
-    assemble_matrices,
-    delta_kernel,
-    median_bandwidth,
-    rbf_kernel,
-    smoothed_transition_matrix,
-    state_standardizer,
-    transformed_kernel,
-)
-from .mmd import (
-    DiscreteDistribution,
-    LossGradientEstimate,
-    bilinear,
-    distribution_from_mass,
-    empirical_backward,
-    log_loss_full,
-    log_loss_minibatch_grad,
-    loss,
-    mmd_squared,
-    weighted_empirical,
-)
-from .weights import (
-    MlpWeightModel,
-    OptimizerConfig,
-    TabularWeightModel,
-    compress_tabular,
-    load_checkpoint,
-    minimize_quadratic_on_simplex,
-    mlp_forward_backward,
-    mlp_inputs,
-    normalize,
-    save_checkpoint,
-    solve_tabular,
-    train_parametric,
-)
-from .estimators import (
-    AggregateReport,
-    EstimateReport,
-    aggregate,
-    blackbox_estimate,
-    ground_truth_rollout,
-    model_based_estimate,
-    naive_average,
-    nearest_rank,
-    tabular_stationary_ips,
-)
-from .rng import categorical, derive_seed, make_rng
-from .bench import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    KernelSpec,
-    ResultRow,
-    build_config,
-    emit_outputs,
-    run_experiment,
-)
+from .mdp import *
+from .envs import *
+from .oracle import *
+from .kernels import *
+from .mmd import *
+from .weights import *
+from .estimators import *
+from .rng import *
+from .bench import *
+from . import mdp, envs, oracle, kernels, mmd, weights, estimators, rng, bench
 
 __all__ = [
     "__version__",
-    # mdp
-    "TabularMdp", "TabularPolicy", "FunctionPolicy", "UniformPolicy", "MixedPolicy",
-    "PolicyStateError", "Transition", "Trajectory", "TransitionDataset",
-    "sample_trajectory", "sample_dataset", "dataset_from_trajectories",
-    "discount_to_average", "mix_policies",
-    # envs
-    "ContinuousEnv", "CONTROL_NAMES", "classic_control", "infinite_horizon",
-    "model_win", "model_win_policy", "random_tabular_mdp", "sample_env_dataset",
-    "sample_env_trajectory", "scripted_near_optimal",
-    # oracle
-    "ConvergenceError", "StationaryDistribution", "brute_force_simplex_min",
-    "check_flow_identity", "exact_average_reward", "exact_backward_apply",
-    "exact_discounted_value", "exact_stationary", "state_action_chain",
-    "stationary_of_matrix",
-    # kernels
-    "DeltaKernel", "Kernel", "KernelMatrices", "RbfKernel", "TransformedKernel",
-    "assemble_combined", "assemble_matrices", "delta_kernel", "median_bandwidth",
-    "rbf_kernel", "smoothed_transition_matrix", "state_standardizer", "transformed_kernel",
-    # mmd
-    "DiscreteDistribution", "LossGradientEstimate", "bilinear", "distribution_from_mass",
-    "empirical_backward", "log_loss_full", "log_loss_minibatch_grad", "loss",
-    "mmd_squared", "weighted_empirical",
-    # weights
-    "MlpWeightModel", "OptimizerConfig", "TabularWeightModel", "compress_tabular",
-    "load_checkpoint", "minimize_quadratic_on_simplex", "mlp_forward_backward",
-    "mlp_inputs", "normalize", "save_checkpoint", "solve_tabular", "train_parametric",
-    # estimators
-    "AggregateReport", "EstimateReport", "aggregate", "blackbox_estimate",
-    "ground_truth_rollout", "model_based_estimate", "naive_average", "nearest_rank",
-    "tabular_stationary_ips",
-    # rng
-    "categorical", "derive_seed", "make_rng",
-    # bench
-    "EXPERIMENTS", "ExperimentConfig", "KernelSpec", "ResultRow", "build_config",
-    "emit_outputs", "run_experiment",
+    *mdp.__all__, *envs.__all__, *oracle.__all__, *kernels.__all__, *mmd.__all__,
+    *weights.__all__, *estimators.__all__, *rng.__all__, *bench.__all__,
 ]

@@ -37,9 +37,6 @@ __all__ = [
     "DeltaKernel",
     "TransformedKernel",
     "KernelMatrices",
-    "rbf_kernel",
-    "delta_kernel",
-    "transformed_kernel",
     "median_bandwidth",
     "state_standardizer",
     "assemble_matrices",
@@ -168,14 +165,6 @@ class DeltaKernel(_FactoredKernel):
         """[s == t] for the `rows` of encoded states x against the `cols` of y."""
         (sx, dtype), (sy, _) = x, y
         return (sx[rows, None] == sy[None, cols]).astype(dtype)
-
-
-def rbf_kernel(bandwidth, action_scale=1.0, **kwargs):
-    return RbfKernel(bandwidth, action_scale, **kwargs)
-
-
-def delta_kernel(num_actions):
-    return DeltaKernel(num_actions)
 
 
 def median_bandwidth(features, percentile=50.0):
@@ -421,7 +410,3 @@ class TransformedKernel(Kernel):
         cx = sx * self._num_actions + np.asarray(sa_x[1], dtype=np.int64)
         cy = sy * self._num_actions + np.asarray(sa_y[1], dtype=np.int64)
         return self._gram_table[np.ix_(cx, cy)]
-
-
-def transformed_kernel(base, mdp, policy):
-    return TransformedKernel(base, mdp, policy)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "UniformPolicy",
     "MixedPolicy",
     "PolicyStateError",
-    "Transition",
     "Trajectory",
     "TransitionDataset",
     "sample_trajectory",
@@ -228,13 +226,6 @@ def mix_policies(first, second, alpha):
     return MixedPolicy(first, second, alpha)
 
 
-class Transition(NamedTuple):
-    state: object
-    action: int
-    reward: float
-    next_state: object
-
-
 @dataclass
 class Trajectory:
     """A rollout: states has one more entry than actions/rewards."""
@@ -244,8 +235,12 @@ class Trajectory:
     rewards: np.ndarray
 
     def __post_init__(self):
-        assert len(self.states) == len(self.actions) + 1
-        assert len(self.actions) == len(self.rewards)
+        if len(self.states) != len(self.actions) + 1 or len(self.rewards) != len(self.actions):
+            raise ValueError(
+                "a trajectory needs one more state than actions and one reward per action; "
+                f"got {len(self.states)} states, {len(self.actions)} actions, "
+                f"{len(self.rewards)} rewards"
+            )
 
     def __len__(self):
         return len(self.actions)
@@ -253,12 +248,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-    def transitions(self):
-        for t in range(len(self.actions)):
-            yield Transition(
-                self.states[t], int(self.actions[t]), float(self.rewards[t]), self.states[t + 1]
-            )
 
     def mean_reward(self):
         return float(np.mean(self.rewards))
@@ -281,22 +270,23 @@ class TransitionDataset:
 
     def __post_init__(self):
         n = len(self.actions)
-        assert len(self.states) == n and len(self.rewards) == n and len(self.next_states) == n
+        if not len(self.states) == len(self.rewards) == len(self.next_states) == n:
+            raise ValueError(
+                "states, actions, rewards and next_states need one entry per transition; "
+                f"got {len(self.states)}, {n}, {len(self.rewards)} and {len(self.next_states)}"
+            )
         if self.traj_starts is None:
             self.traj_starts = np.array([0], dtype=np.int64)
         self.traj_starts = np.asarray(self.traj_starts, dtype=np.int64)
-        if n:
-            assert self.traj_starts[0] == 0
-            assert np.all(np.diff(self.traj_starts) > 0)
-            assert self.traj_starts[-1] < n
+        starts = self.traj_starts
+        if n and not (len(starts) and starts[0] == 0 and starts[-1] < n and np.all(np.diff(starts) > 0)):
+            raise ValueError(
+                f"traj_starts must begin at 0 and strictly increase below the {n} transitions; "
+                f"got {starts}"
+            )
 
     def __len__(self):
         return len(self.actions)
-
-    def __getitem__(self, i):
-        return Transition(
-            self.states[i], int(self.actions[i]), float(self.rewards[i]), self.next_states[i]
-        )
 
     @property
     def is_tabular(self):

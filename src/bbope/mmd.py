@@ -44,8 +44,11 @@ class DiscreteDistribution:
     def __post_init__(self):
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.mass = np.asarray(self.mass, dtype=np.float64)
-        assert len(self.actions) == len(self.mass)
-        assert len(np.asarray(self.states)) == len(self.mass)
+        if not len(self.states) == len(self.actions) == len(self.mass):
+            raise ValueError(
+                "states, actions and mass need one entry per atom; got "
+                f"{len(self.states)}, {len(self.actions)} and {len(self.mass)}"
+            )
         if not np.all(np.isfinite(self.mass)):
             raise ValueError("measure has non-finite mass entries")
 
@@ -91,7 +94,8 @@ def distribution_from_mass(mass):
 def weighted_empirical(dataset, w):
     """The dataset's logged pairs weighted by w (one atom per transition)."""
     w = np.asarray(w, dtype=np.float64)
-    assert len(w) == len(dataset)
+    if len(w) != len(dataset):
+        raise ValueError(f"weight length {len(w)} != dataset size {len(dataset)}")
     return DiscreteDistribution(states=dataset.states, actions=dataset.actions, mass=w)
 
 

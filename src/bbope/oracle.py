@@ -18,6 +18,7 @@ __all__ = [
     "StationaryDistribution",
     "stationary_of_matrix",
     "exact_stationary",
+    "state_action_chain",
     "exact_backward_apply",
     "exact_average_reward",
     "exact_discounted_value",
@@ -46,8 +47,9 @@ def stationary_of_matrix(P, tol=1e-13, max_iter=200_000):
     so plain power iteration would bounce forever).
     """
     P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+        raise ValueError(f"a transition matrix must be square; got shape {P.shape}")
     m = P.shape[0]
-    assert P.shape == (m, m)
     d = np.full(m, 1.0 / m)
     for it in range(max_iter):
         nxt = 0.5 * (d + d @ P)
@@ -98,7 +100,8 @@ def exact_backward_apply(dist, mdp, policy):
     """
     dist = np.asarray(dist, dtype=np.float64)
     S, A = mdp.num_states, mdp.num_actions
-    assert dist.shape == (S, A), f"expected ({S}, {A}), got {dist.shape}"
+    if dist.shape != (S, A):
+        raise ValueError(f"dist must have the MDP's (S, A) shape ({S}, {A}); got {dist.shape}")
     pi = policy.prob_matrix(np.arange(S))
     inflow = np.einsum("sa,sat->t", dist, mdp.transition)
     return pi * inflow[:, None]
@@ -227,7 +230,7 @@ def check_flow_identity(mdp, policy, dist, kernel):
 
     Returns (lhs, rhs).
     """
-    from .kernels import transformed_kernel
+    from .kernels import TransformedKernel
     from .mmd import mmd_squared, distribution_from_mass
 
     dist = np.asarray(dist, dtype=np.float64)
@@ -236,6 +239,6 @@ def check_flow_identity(mdp, policy, dist, kernel):
     lhs = mmd_squared(mu, flowed, kernel)
 
     d_pi = exact_stationary(mdp, policy)
-    ktil = transformed_kernel(kernel, mdp, policy)
+    ktil = TransformedKernel(kernel, mdp, policy)
     rhs = mmd_squared(mu, distribution_from_mass(d_pi.mass), ktil)
     return lhs, rhs

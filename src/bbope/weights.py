@@ -93,23 +93,30 @@ def compress_tabular(dataset):
     """
     if not dataset.is_tabular:
         raise ValueError("compression is defined for tabular datasets only")
-    triples = np.stack(
-        [np.asarray(dataset.states), np.asarray(dataset.actions), np.asarray(dataset.next_states)],
-        axis=1,
-    )
+    columns = [np.asarray(dataset.states), np.asarray(dataset.actions), np.asarray(dataset.next_states)]
+    # each id shifted by its minimum; the key (s*A + a)*S + s' sorts the triples lexicographically
+    lows = [int(c.min()) if len(c) else 0 for c in columns]
+    extents = [int(c.max()) - low + 1 if len(c) else 1 for c, low in zip(columns, lows)]
+    if extents[0] * extents[1] * extents[2] > np.iinfo(np.int64).max:
+        raise ValueError(f"(s, a, s') id extents {tuple(extents)} overflow an int64 key")
+    s, a, t = (c.astype(np.int64) - low for c, low in zip(columns, lows))
+    key = (s * extents[1] + a) * extents[2] + t
     uniq, first, inverse, counts = np.unique(
-        triples, axis=0, return_index=True, return_inverse=True, return_counts=True
+        key, return_index=True, return_inverse=True, return_counts=True
     )
+    pairs, next_states = np.divmod(uniq, extents[2])
+    states, actions = np.divmod(pairs, extents[1])
+    dtype = np.result_type(*columns)
     rewards = np.asarray(dataset.rewards, dtype=np.float64)
     # the first reward plus the mean offset from it: exact for equal rewards
     mean_rewards = rewards[first] + np.bincount(
         inverse, weights=rewards - rewards[first][inverse], minlength=len(uniq)
     ) / counts
     compressed = TransitionDataset(
-        states=uniq[:, 0].copy(),
-        actions=uniq[:, 1].copy(),
+        states=(states + lows[0]).astype(dtype),
+        actions=(actions + lows[1]).astype(dtype),
         rewards=mean_rewards,
-        next_states=uniq[:, 2].copy(),
+        next_states=(next_states + lows[2]).astype(dtype),
     )
     return compressed, counts.astype(np.float64), inverse
 
@@ -275,12 +282,14 @@ class MlpWeightModel:
 
     def set_flat_parameters(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
+        size = sum(W.size + b.size for W, b in self.weights)
+        if len(flat) != size:
+            raise ValueError(f"the model has {size} parameters; got a flat vector of {len(flat)}")
         pos = 0
         for i, (W, b) in enumerate(self.weights):
             nw, nb = W.size, b.size
             self.weights[i] = (flat[pos : pos + nw].reshape(W.shape), flat[pos + nw : pos + nw + nb].copy())
             pos += nw + nb
-        assert pos == len(flat)
 
 
 def mlp_forward_backward(model, X, upstream_of):

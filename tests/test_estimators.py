@@ -14,7 +14,7 @@ from bbope.estimators import (
     nearest_rank,
     tabular_stationary_ips,
 )
-from bbope.kernels import DeltaKernel, RbfKernel, transformed_kernel
+from bbope.kernels import DeltaKernel, RbfKernel, TransformedKernel
 from bbope.mdp import (
     TabularMdp,
     TabularPolicy,
@@ -289,7 +289,7 @@ def test_model_based_unmatched_tabular_row_is_not_absorbing():
 
 
 def test_model_based_rejects_other_kernels():
-    kt = transformed_kernel(DeltaKernel(2), model_win(0.4), target_policy())
+    kt = TransformedKernel(DeltaKernel(2), model_win(0.4), target_policy())
     with pytest.raises(ValueError, match="RbfKernel and DeltaKernel"):
         model_based_estimate(behavior_data(3, 8, seed=10), target_policy(), kernel=kt)
 

@@ -9,14 +9,12 @@ from bbope.envs import model_win, model_win_policy, random_tabular_mdp
 from bbope.kernels import (
     DeltaKernel,
     RbfKernel,
+    TransformedKernel,
     assemble_combined,
     assemble_matrices,
-    delta_kernel,
     median_bandwidth,
-    rbf_kernel,
     smoothed_transition_matrix,
     state_standardizer,
-    transformed_kernel,
 )
 from bbope.mdp import (
     FunctionPolicy,
@@ -177,11 +175,6 @@ def test_gram_matches_an_independent_oracle(case):
     else:
         assert np.max(np.abs(got - want)) < 1e-12
         assert 0.0 < want.min() and want.max() <= 1.0  # the oracle is not vacuous
-
-
-def test_factory_helpers():
-    assert isinstance(rbf_kernel(1.0, num_actions=2), RbfKernel)
-    assert isinstance(delta_kernel(2), DeltaKernel)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,7 @@ def test_assemble_combined_and_chain_reject_other_kernels_alike():
     ds = tabular_dataset(seed=8, n_traj=2, length=4)
     pol = model_win_policy(0.9)
     base = RbfKernel(bandwidth=1.0, num_actions=2, num_states=3)
-    kt = transformed_kernel(base, model_win(0.4), pol)
+    kt = TransformedKernel(base, model_win(0.4), pol)
     messages = []
     for build in (assemble_combined, smoothed_transition_matrix):
         with pytest.raises(ValueError, match="RbfKernel and DeltaKernel") as exc:
@@ -459,7 +452,7 @@ def test_transformed_kernel_deterministic_closed_form():
     mdp = TabularMdp(P, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
     pol = UniformPolicy(1)
     base = RbfKernel(bandwidth=0.8, num_actions=1, num_states=3)
-    kt = transformed_kernel(base, mdp, pol)
+    kt = TransformedKernel(base, mdp, pol)
     nxt = {0: 1, 1: 2, 2: 0}
     for sx in range(3):
         for sy in range(3):
@@ -478,7 +471,7 @@ def test_transformed_kernel_symmetry():
     mdp = random_tabular_mdp(4, 2, seed=10)
     pol = random_policy(4, 2, seed=11)
     base = RbfKernel(bandwidth=1.0, action_scale=0.7, num_actions=2, num_states=4)
-    kt = transformed_kernel(base, mdp, pol)
+    kt = TransformedKernel(base, mdp, pol)
     states = np.repeat(np.arange(4), 2)
     actions = np.tile(np.arange(2), 4)
     G = kt.gram((states, actions), (states, actions))
@@ -489,7 +482,7 @@ def test_transformed_kernel_gram_is_psd():
     mdp = random_tabular_mdp(4, 2, seed=12)
     pol = random_policy(4, 2, seed=13)
     base = RbfKernel(bandwidth=1.0, num_actions=2, num_states=4)
-    kt = transformed_kernel(base, mdp, pol)
+    kt = TransformedKernel(base, mdp, pol)
     states = np.repeat(np.arange(4), 2)
     actions = np.tile(np.arange(2), 4)
     G = kt.gram((states, actions), (states, actions))
@@ -498,7 +491,7 @@ def test_transformed_kernel_gram_is_psd():
 
 def test_transformed_kernel_rejects_continuous_states():
     mdp = model_win(0.4)
-    kt = transformed_kernel(
+    kt = TransformedKernel(
         RbfKernel(bandwidth=1.0, num_actions=2, num_states=3), mdp, model_win_policy(0.9)
     )
     with pytest.raises(ValueError):
@@ -648,6 +641,6 @@ def test_smoothed_chain_far_successor_restarts_at_the_anchors(dtype):
 def test_smoothed_chain_rejects_other_kernels():
     ds = tabular_dataset(seed=19, n_traj=3, length=8)
     pol = model_win_policy(0.9)
-    kt = transformed_kernel(DeltaKernel(2), model_win(0.4), pol)
+    kt = TransformedKernel(DeltaKernel(2), model_win(0.4), pol)
     with pytest.raises(ValueError, match="RbfKernel and DeltaKernel"):
         smoothed_transition_matrix(ds, pol, kt)

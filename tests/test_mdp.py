@@ -12,6 +12,8 @@ from bbope.mdp import (
     PolicyStateError,
     TabularMdp,
     TabularPolicy,
+    Trajectory,
+    TransitionDataset,
     UniformPolicy,
     dataset_from_trajectories,
     discount_to_average,
@@ -222,6 +224,37 @@ def test_trajectory_bytes_are_pinned(world):
         mdp, pol = model_win(0.4), model_win_policy(0.9)
     traj = sample_trajectory(mdp, pol, 500, seed=5)
     assert digest(traj.states, traj.actions, traj.rewards) == TRAJECTORY_DIGESTS[world]
+
+
+# ---------------------------------------------------------------------------
+# record validation: these checks must hold under python -O too
+
+
+@pytest.mark.parametrize(
+    "lengths,match",
+    [((2, 2, 2), "got 2 states, 2 actions, 2 rewards"), ((3, 2, 1), "got 3 states, 2 actions, 1 rewards")],
+)
+def test_trajectory_rejects_mismatched_lengths(lengths, match):
+    states, actions, rewards = (np.zeros(k, dtype=np.int64) for k in lengths)
+    with pytest.raises(ValueError, match=match):
+        Trajectory(states=states, actions=actions, rewards=rewards.astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "lengths,traj_starts,match",
+    [
+        ((3, 2, 5, 1), None, "got 3, 2, 5 and 1"),
+        ((3, 3, 3, 3), [1, 2], r"traj_starts .* got \[1 2\]"),
+        ((3, 3, 3, 3), [0, 2, 1], r"traj_starts .* got \[0 2 1\]"),
+        ((3, 3, 3, 3), [0, 3], r"below the 3 transitions; got \[0 3\]"),
+        ((3, 3, 3, 3), [], r"traj_starts .* got \[\]"),
+    ],
+)
+def test_transition_dataset_rejects_inconsistent_fields(lengths, traj_starts, match):
+    states, actions, rewards, next_states = (np.zeros(k, dtype=np.int64) for k in lengths)
+    with pytest.raises(ValueError, match=match):
+        TransitionDataset(states=states, actions=actions, rewards=rewards.astype(np.float64),
+                          next_states=next_states, traj_starts=traj_starts)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,26 @@ def onpolicy_big():
 
 
 # ---------------------------------------------------------------------------
+# record validation: these checks must hold under python -O too
+
+
+@pytest.mark.parametrize(
+    "lengths,match", [((3, 2, 2), "got 3, 2 and 2"), ((2, 2, 3), "got 2, 2 and 3")]
+)
+def test_distribution_rejects_mismatched_lengths(lengths, match):
+    states, actions, mass = (np.zeros(k) for k in lengths)
+    with pytest.raises(ValueError, match=match):
+        DiscreteDistribution(states=states.astype(np.int64), actions=actions, mass=mass)
+
+
+@pytest.mark.parametrize("num_weights", [11, 13])
+def test_weighted_empirical_rejects_a_weight_per_row_mismatch(num_weights):
+    ds = random_instance(0)[0]
+    with pytest.raises(ValueError, match=f"weight length {num_weights} != dataset size 12"):
+        weighted_empirical(ds, np.full(num_weights, 1.0 / num_weights))
+
+
+# ---------------------------------------------------------------------------
 # bilinear
 
 

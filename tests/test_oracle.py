@@ -1,5 +1,7 @@
 """Exact tabular solvers: stationary laws, values, and brute-force minima."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,12 @@ def test_stationary_raises_on_iteration_cap():
     assert err.value.residual > 1e-13
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_stationary_of_matrix_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match=rf"square; got shape {re.escape(str(shape))}"):
+        stationary_of_matrix(np.full(shape, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # backward flow operator
 
@@ -76,6 +84,13 @@ def test_backward_apply_fixes_stationary():
     d = exact_stationary(mdp, pol).mass
     out = exact_backward_apply(d, mdp, pol)
     assert np.max(np.abs(out - d)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2, 1), (6,)])
+def test_backward_apply_rejects_a_mass_array_of_the_wrong_shape(shape):
+    mdp = model_win(0.4)  # 3 states, 2 actions
+    with pytest.raises(ValueError, match=rf"\(3, 2\); got {re.escape(str(shape))}"):
+        exact_backward_apply(np.full(shape, 1.0 / 6), mdp, model_win_policy(0.9))
 
 
 def test_backward_apply_shifts_cycle_mass():

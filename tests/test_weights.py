@@ -1,15 +1,16 @@
 """Weight parametrizations and the simplex optimizers that fit them."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from bbope import weights
-from bbope.envs import model_win, model_win_policy
-from bbope.estimators import naive_average
+from bbope.envs import model_win, model_win_policy, random_tabular_mdp
+from bbope.estimators import blackbox_estimate, model_based_estimate, naive_average
 from bbope.kernels import DeltaKernel, KernelMatrices, RbfKernel, assemble_combined
-from bbope.mdp import TransitionDataset, UniformPolicy, sample_dataset
+from bbope.mdp import TabularPolicy, TransitionDataset, UniformPolicy, sample_dataset
 from bbope.mmd import log_loss_full
 from bbope.oracle import brute_force_simplex_min
 from bbope.rng import make_rng
@@ -147,6 +148,62 @@ def test_compress_rejects_continuous_data():
         compress_tabular(ds)
 
 
+# (S, A, T, id dtype, rewards): 50 trajectories of length T on a random
+# MDP, ids cast to the dtype (int16 ids shifted below zero), rewards as
+# logged or with unit Gaussian noise.  Pins every output field.
+COMPRESS_DIGESTS = {
+    (30, 3, 4, "int64", "exact"): "5369fdad156ae6e226ffdfcec0dd8a328f13db53b688ac96ecc7f2e2dca53b97",
+    (30, 3, 4, "int32", "noisy"): "753be1b8d64b76e36c01d900529e830d796a6a737d83edc63c99dd248755c2ca",
+    (30, 3, 128, "int64", "noisy"): "a8742dc4e670dcee7aae775c0b5a6297e2379e5c4a279cf6bd173144bc906cb5",
+    (3, 2, 16, "int32", "exact"): "d318c409c8445819934cba5c6997d0069ad81feb5d9ceca870221882788aa406",
+    (5, 1, 1, "int64", "exact"): "b1b4cab67effedc54c4b5831b80d48c9761959d6a8718d1d0cbcc037ca4c0368",
+    (7, 4, 8, "int16", "noisy"): "9d1a97e19de24cc77c5816a0ed736bc8adf9abe811a2aab7f1e415503a92a699",
+}
+
+
+@pytest.mark.parametrize("S,A,T,dtype,rewards", sorted(COMPRESS_DIGESTS))
+def test_compress_bytes_are_pinned(S, A, T, dtype, rewards):
+    table = make_rng(A).uniform(0.1, 1.0, size=(S, A))
+    pol = TabularPolicy(table / table.sum(axis=1, keepdims=True))
+    ds = sample_dataset(random_tabular_mdp(S, A, seed=S), pol, 50, T, seed=T)
+    r = ds.rewards + make_rng(T + 1).normal(size=len(ds)) if rewards == "noisy" else ds.rewards
+    shift = -S if dtype == "int16" else 0
+    log = TransitionDataset(
+        states=(ds.states + shift).astype(dtype),
+        actions=ds.actions.astype(dtype),
+        rewards=r,
+        next_states=(ds.next_states + shift).astype(dtype),
+        traj_starts=ds.traj_starts,
+    )
+    comp, counts, inverse = compress_tabular(log)
+    h = hashlib.sha256()
+    for arr in (comp.states, comp.actions, comp.rewards, comp.next_states, comp.traj_starts,
+                counts, inverse):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == COMPRESS_DIGESTS[S, A, T, dtype, rewards]
+
+
+def test_compress_rejects_ids_that_overflow_the_key():
+    ds = TransitionDataset(
+        states=np.array([0, 2**40]),
+        actions=np.array([0, 2**20]),
+        rewards=np.zeros(2),
+        next_states=np.array([-(2**10), 2**10]),
+    )
+    with pytest.raises(ValueError, match=r"extents \(1099511627777, 1048577, 2049\)"):
+        compress_tabular(ds)
+
+
+@pytest.mark.parametrize("estimator", [blackbox_estimate, model_based_estimate])
+def test_an_empty_tabular_log_reaches_the_empty_dataset_error(estimator):
+    empty = np.zeros(0, dtype=np.int64)
+    ds = TransitionDataset(states=empty, actions=empty, rewards=np.zeros(0), next_states=empty)
+    with pytest.raises(ValueError, match="empty dataset"):
+        estimator(ds, UniformPolicy(2))
+
+
 # ---------------------------------------------------------------------------
 # exponentiated-gradient quadratic minimization
 
@@ -277,6 +334,15 @@ def test_solve_rejects_mismatched_matrices():
 
 # ---------------------------------------------------------------------------
 # MLP model: construction and differentiation
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_mlp_rejects_a_flat_vector_of_the_wrong_length(extra):
+    model = MlpWeightModel.create(3, hidden=(4,), seed=0)  # 3*4 + 4 + 4*1 + 1 = 21 parameters
+    before = model.flat_parameters()
+    with pytest.raises(ValueError, match=f"the model has 21 parameters; got a flat vector of {21 + extra}"):
+        model.set_flat_parameters(np.zeros(21 + extra))
+    assert np.array_equal(model.flat_parameters(), before)
 
 
 def test_mlp_zero_output_layer_gives_uniform_weights():
