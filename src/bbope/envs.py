@@ -388,7 +388,7 @@ def random_tabular_mdp(num_states, num_actions, seed):
     return TabularMdp(transition=P, reward=R, start=start)
 
 
-def sample_env_trajectory(env, policy, length, seed, start_state=None):
+def sample_env_trajectory(env, policy, length, seed):
     """Roll a continuous env under a policy; stops early at termination.
 
     Wrap the env with :func:`infinite_horizon` first if the rollout must
@@ -397,7 +397,7 @@ def sample_env_trajectory(env, policy, length, seed, start_state=None):
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     rng = make_rng(seed)
-    s = env.reset(rng) if start_state is None else np.asarray(start_state, dtype=np.float64)
+    s = env.reset(rng)
     states, actions, rewards = [s], [], []
     for _ in range(length):
         a = categorical(rng, policy.action_probabilities(s))

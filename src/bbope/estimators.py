@@ -95,9 +95,8 @@ def blackbox_estimate(dataset, policy, kernel=None, config=None, weight_model="a
         compressed, counts, inverse = compress_tabular(dataset)
         _check_matrix_rows(len(compressed), config or OptimizerConfig())
         matrices = assemble_combined(compressed, policy, kernel)
-        w_rows, model, info = solve_tabular(
-            matrices, compressed, config, counts=counts, num_actions=policy.num_actions
-        )
+        w_rows, model, info = solve_tabular(matrices, compressed, policy.num_actions, config,
+                                            counts=counts)
         estimate = float(np.sum(counts * w_rows * compressed.rewards))
         details = {
             "weight_model": "tabular",
@@ -153,8 +152,7 @@ def model_based_estimate(dataset, policy, kernel=None, ridge=1e-6, tol=1e-10,
     )
 
 
-def tabular_stationary_ips(dataset, behavior_policy, target_policy, tol=1e-12,
-                           max_iter=200_000):
+def tabular_stationary_ips(dataset, behavior_policy, target_policy):
     """Stationary-distribution-ratio importance sampling (tabular only).
 
     The per-step action ratio beta_i = pi(a_i|s_i) / pi_B(a_i|s_i)
@@ -193,7 +191,7 @@ def tabular_stationary_ips(dataset, behavior_policy, target_policy, tol=1e-12,
     P = flow[np.ix_(idx, idx)]
     P = P / P.sum(axis=1, keepdims=True)
     d_target = np.zeros(S)
-    d_target[idx] = stationary_of_matrix(P, tol=tol, max_iter=max_iter)
+    d_target[idx] = stationary_of_matrix(P, tol=1e-12)
 
     ratio = np.zeros(S)
     ratio[idx] = d_target[idx] / d_beh[idx]

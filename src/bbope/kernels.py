@@ -12,15 +12,14 @@ which the large-scale assembly path exploits: only state-by-state Gram
 matrices are exponentiated, and the action structure enters through
 cheap elementwise factors.
 
-`assemble_matrices` builds the three n-by-n blocks that the weighted
-flow discrepancy needs: the point block (logged pairs against logged
-pairs), the cross block (logged pairs against policy-averaged successor
-pairs), and the successor block (policy-averaged successors against
-themselves).  Their combination  point - 2*cross + successor  is the
-matrix of the quadratic loss; its symmetrization is stored as well
-because the cross block is not symmetric and gradients must see the
-symmetric part only.  `assemble_combined` builds just that symmetric
-matrix, one block pair at a time with O(block**2) temporaries.
+The weighted flow discrepancy is the quadratic form of point - 2*cross +
+successor over three n-by-n blocks: point (logged pairs against logged
+pairs), cross (logged pairs against policy-averaged successor pairs)
+and successor (those successors against themselves).  The cross block
+is not symmetric, so gradients must see the symmetric part only.
+`assemble_combined` builds that flow matrix, one block pair at a time
+with O(block**2) temporaries; `assemble_matrices` is the dense reference
+that returns the three blocks for any kernel.
 """
 
 from __future__ import annotations
@@ -207,28 +206,27 @@ def state_standardizer(states):
 
 @dataclass
 class KernelMatrices:
-    """The assembled n-by-n blocks of the weighted flow discrepancy.
+    """The flow matrix M, the symmetric part of point - 2 * cross + successor.
 
-    combined = point - 2 * cross + successor;  sym = (combined +
-    combined^T) / 2.  The quadratic loss w^T combined w equals
-    w^T sym w, and gradients are always taken through sym.  The
-    block-level fields are None when assembly used the factorized
-    large-scale path, which only materializes the combination.
+    The quadratic loss w^T M w equals that of the unsymmetrized combination,
+    and gradients are always taken through M.
     """
 
-    point: np.ndarray | None
-    cross: np.ndarray | None
-    successor: np.ndarray | None
-    combined: np.ndarray | None
     sym: np.ndarray
 
     @property
     def n(self):
         return self.sym.shape[0]
 
+    def matvec(self, w):
+        """M @ w as float64, computed in M's dtype: a float64 vector against
+        float32 storage would silently upcast the whole matrix."""
+        q = self.sym @ np.asarray(w).astype(self.sym.dtype, copy=False)
+        return q.astype(np.float64, copy=False)
+
 
 def assemble_matrices(dataset, policy, kernel):
-    """Dense float64 assembly of all blocks (small and mid-size n).
+    """Dense float64 (point, cross, successor) blocks, for any kernel.
 
     cross[i, j] = sum_b pi(b | s'_j) k(x_i, (s'_j, b));
     successor[i, j] = sum_{a, b} pi(a | s'_i) pi(b | s'_j)
@@ -253,16 +251,8 @@ def assemble_matrices(dataset, policy, kernel):
                 (dataset.next_states, np.full(n, a, dtype=np.int64)),
                 (dataset.next_states, np.full(n, b, dtype=np.int64)),
             )
-            contrib = g * pi_next[:, a][:, None] * pi_next[:, b][None, :]
-            successor += contrib
-    combined = point - 2.0 * cross + successor
-    return KernelMatrices(
-        point=point,
-        cross=cross,
-        successor=successor,
-        combined=combined,
-        sym=0.5 * (combined + combined.T),
-    )
+            successor += g * pi_next[:, a][:, None] * pi_next[:, b][None, :]
+    return point, cross, successor
 
 
 def _prepare(dataset, policy, kernel, dtype):
@@ -316,7 +306,7 @@ def assemble_combined(dataset, policy, kernel, dtype=np.float64, block=256):
             upper *= 0.5
             buf[I, J] = upper
             buf[J, I] = upper.T
-    return KernelMatrices(None, None, None, None, buf)
+    return KernelMatrices(buf)
 
 
 def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,

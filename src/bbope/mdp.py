@@ -279,10 +279,10 @@ class TransitionDataset:
             self.traj_starts = np.array([0], dtype=np.int64)
         self.traj_starts = np.asarray(self.traj_starts, dtype=np.int64)
         starts = self.traj_starts
-        if n and not (len(starts) and starts[0] == 0 and starts[-1] < n and np.all(np.diff(starts) > 0)):
+        if not (len(starts) and starts[0] == 0 and starts[-1] < max(n, 1) and np.all(np.diff(starts) > 0)):
             raise ValueError(
                 f"traj_starts must begin at 0 and strictly increase below the {n} transitions; "
-                f"got {starts}"
+                f"got {starts}" if n else f"an empty log has traj_starts [0]; got {starts}"
             )
 
     def __len__(self):

@@ -62,18 +62,6 @@ class DiscreteDistribution:
     def support(self):
         return (self.states, self.actions)
 
-    def consolidated(self, num_actions=None):
-        """Merge duplicate tabular support points by summing their mass."""
-        states = np.asarray(self.states)
-        if not np.issubdtype(states.dtype, np.integer):
-            raise ValueError("consolidation needs tabular states")
-        A = int(num_actions if num_actions is not None else self.actions.max() + 1)
-        codes = states * A + self.actions
-        uniq, inv = np.unique(codes, return_inverse=True)
-        mass = np.zeros(len(uniq))
-        np.add.at(mass, inv, self.mass)
-        return DiscreteDistribution(states=(uniq // A).astype(np.int64), actions=(uniq % A), mass=mass)
-
     def to_dense(self, num_states, num_actions):
         out = np.zeros((num_states, num_actions))
         np.add.at(out, (np.asarray(self.states), self.actions), self.mass)
@@ -154,11 +142,11 @@ def mmd_squared(mu1, mu2, kernel):
 
 
 def loss(w, matrices):
-    """Flow-discrepancy loss of simplex weights: w^T M_sym w (clamped at 0)."""
+    """Flow-discrepancy loss of simplex weights: w^T M w (clamped at 0)."""
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < -1e-8) or abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("weights must lie on the probability simplex (tol 1e-8)")
-    return _clamp_quadratic(float(w @ matrices.sym @ w), "weighted flow loss")
+    return _clamp_quadratic(float(w @ matrices.matvec(w)), "weighted flow loss")
 
 
 @dataclass
@@ -180,10 +168,7 @@ def _log_loss_terms(w_tilde, matrices):
     wt = np.asarray(w_tilde, dtype=np.float64)
     if np.any(wt <= 0.0) or not np.all(np.isfinite(wt)):
         raise ValueError("log-domain loss needs strictly positive finite weights")
-    # Run the matvec in the matrix's own dtype: mixing float32 storage
-    # with a float64 vector would silently upcast the whole matrix.
-    q = matrices.sym @ wt.astype(matrices.sym.dtype, copy=False)
-    q = q.astype(np.float64, copy=False)
+    q = matrices.matvec(wt)
     quad = float(wt @ q)
     total = float(wt.sum())
     if quad <= 0.0:

@@ -107,16 +107,16 @@ def exact_backward_apply(dist, mdp, policy):
     return pi * inflow[:, None]
 
 
-def exact_stationary(mdp, policy, tol=1e-13, max_iter=200_000):
-    """Stationary state-action distribution, solved to residual <= tol."""
+def exact_stationary(mdp, policy):
+    """Stationary state-action distribution, solved to residual <= 1e-13."""
     Q = state_action_chain(mdp, policy)
-    d = stationary_of_matrix(Q, tol=tol, max_iter=max_iter)
+    d = stationary_of_matrix(Q)
     return StationaryDistribution(mass=d.reshape(mdp.num_states, mdp.num_actions))
 
 
-def exact_average_reward(mdp, policy, tol=1e-13):
+def exact_average_reward(mdp, policy):
     """Long-run average reward of `policy` on `mdp` (exact, via stationary)."""
-    d = exact_stationary(mdp, policy, tol=tol)
+    d = exact_stationary(mdp, policy)
     return float(np.sum(d.mass * mdp.reward))
 
 

@@ -182,29 +182,32 @@ class TabularWeightModel:
     num_actions: int
 
     def sample_weights(self, states, actions):
-        codes = np.asarray(states) * self.num_actions + np.asarray(actions)
+        actions = np.asarray(actions)
+        if np.any((actions < 0) | (actions >= self.num_actions)):
+            raise ValueError(f"query actions must lie in [0, {self.num_actions}); got {actions}")
+        codes = np.asarray(states) * self.num_actions + actions
         idx = np.searchsorted(self.group_codes, codes)
         if np.any(idx >= len(self.group_codes)) or np.any(self.group_codes[np.minimum(idx, len(self.group_codes) - 1)] != codes):
             raise ValueError("query contains a state-action pair the model was not fit on")
         return self.group_mass[idx] / self.group_count[idx]
 
 
-def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None):
+def solve_tabular(matrices, dataset, num_actions, config=None, counts=None):
     """Fit tied tabular weights by exponentiated gradient on the group QP.
 
-    matrices must be assembled from `dataset`.  counts gives each row's
-    multiplicity (for compressed datasets); by default every row counts
-    once and the returned per-row weights lie exactly on the simplex.
-    With counts, sum(counts * w) = 1 instead.  Returns (w, model, info).
+    matrices must be assembled from `dataset`, whose actions lie in
+    [0, num_actions).  counts gives each row's multiplicity (for
+    compressed datasets); by default every row counts once and the
+    returned per-row weights lie exactly on the simplex.  With counts,
+    sum(counts * w) = 1 instead.  Returns (w, model, info).
     """
     config = config or OptimizerConfig()
     if not dataset.is_tabular:
         raise ValueError("tabular weight solving needs integer states and actions")
     n = len(dataset)
-    if matrices.sym.shape[0] != n:
-        raise ValueError(f"matrices are {matrices.sym.shape[0]}x..., dataset has {n} rows")
+    if matrices.n != n:
+        raise ValueError(f"matrices are {matrices.n}x{matrices.n}, dataset has {n} rows")
     counts = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
-    num_actions = int(np.asarray(dataset.actions).max() + 1) if num_actions is None else int(num_actions)
     codes = np.asarray(dataset.states) * num_actions + np.asarray(dataset.actions)
     # stable group structure: sorted distinct codes
     group_codes, group_of = np.unique(codes, return_inverse=True)
@@ -222,7 +225,7 @@ def solve_tabular(matrices, dataset, config=None, counts=None, num_actions=None)
         group_codes=group_codes,
         group_mass=mass,
         group_count=group_count,
-        num_actions=num_actions,
+        num_actions=int(num_actions),
     )
     return w, model, info
 
@@ -337,7 +340,7 @@ def mlp_inputs(dataset, kernel=None):
     return np.concatenate([feats, onehot], axis=1)
 
 
-def train_parametric(dataset, policy, kernel, config=None, matrices=None):
+def train_parametric(dataset, policy, kernel, config=None):
     """Fit the MLP weight model by seeded gradient descent on the log loss.
 
     Tabular datasets are first compressed to distinct triples (the loss
@@ -353,15 +356,9 @@ def train_parametric(dataset, policy, kernel, config=None, matrices=None):
     work = dataset
     if dataset.is_tabular:
         work, counts, inverse = compress_tabular(dataset)
-    if matrices is None:
-        _check_matrix_rows(len(work), config)
-        dtype = np.float32 if config.matrix_dtype == "float32" else np.float64
-        matrices = assemble_combined(work, policy, kernel, dtype=dtype)
-    elif matrices.sym.shape[0] != len(work):
-        raise ValueError(
-            f"matrices are for {matrices.sym.shape[0]} rows but the working dataset has "
-            f"{len(work)} (tabular inputs are compressed first; assemble accordingly)"
-        )
+    _check_matrix_rows(len(work), config)
+    dtype = np.float32 if config.matrix_dtype == "float32" else np.float64
+    matrices = assemble_combined(work, policy, kernel, dtype=dtype)
     X = mlp_inputs(work, kernel)
     model = MlpWeightModel.create(X.shape[1], hidden=config.hidden_layers, seed=config.seed)
     log_counts = 0.0 if counts is None else np.log(counts)

@@ -249,7 +249,7 @@ def test_criterion_07_loss_floor_and_simplex_outputs():
             target = random_policy(mdp, int(rng.integers(2**31)))
             ds = sample_dataset(mdp, behavior, 2, 8, int(rng.integers(2**31)))
             mats = assemble_combined(ds, target, DeltaKernel(num_actions=2))
-            w, _, _ = solve_tabular(mats, ds)
+            w, _, _ = solve_tabular(mats, ds, num_actions=2)
             assert w.min() >= -1e-8
             assert abs(w.sum() - 1.0) <= 1e-8
         else:

@@ -1,5 +1,6 @@
 """Concrete environments: the 3-state gamble MDP, control tasks, wrappers."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -255,11 +256,16 @@ def test_cartpole_scripted_balances_far_longer_than_random():
     assert random_.mean() <= 40.0
 
 
+def starting_at(env, state):
+    """A fake of `env` whose reset always returns `state`."""
+    return dataclasses.replace(env, reset_fn=lambda rng: np.asarray(state, dtype=np.float64))
+
+
 def test_mountain_car_scripted_reaches_goal_quickly():
     env = classic_control("mountain_car")
     pol = scripted_near_optimal("mountain_car")
     # from the canonical fixed start and from seeded default starts
-    traj = sample_env_trajectory(env, pol, 500, seed=0, start_state=[-0.5, 0.0])
+    traj = sample_env_trajectory(starting_at(env, [-0.5, 0.0]), pol, 500, seed=0)
     assert traj.rewards[-1] == 100.0 and len(traj) <= 500
     for seed in range(3):
         traj = sample_env_trajectory(env, pol, 500, seed=seed)
@@ -279,7 +285,7 @@ def test_acrobot_scripted_beats_random_by_wide_margin():
     env = classic_control("acrobot")
     pol = scripted_near_optimal("acrobot")
     hang = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 0.05])
-    traj = sample_env_trajectory(env, pol, 300, seed=0, start_state=hang)
+    traj = sample_env_trajectory(starting_at(env, hang), pol, 300, seed=0)
     assert traj.rewards[-1] == 100.0 and len(traj) <= 300  # reaches the goal
     wrapped = infinite_horizon(env)
     scripted = sample_env_trajectory(wrapped, pol, 2000, seed=8)

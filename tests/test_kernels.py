@@ -1,6 +1,7 @@
 """Kernels, bandwidth selection, Gram-block assembly, kernel transforms."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from bbope.mdp import (
     sample_dataset,
 )
 from bbope.rng import make_rng
+
+from flow_reference import dense_flow
 
 
 def random_policy(num_states, num_actions, seed):
@@ -273,15 +276,15 @@ def nested_loop_blocks(dataset, policy, kernel):
 def test_assembly_point_block_identity_for_distinct_pairs():
     ds = tabular_dataset(seed=1, n_traj=1, length=2)
     assert len({(int(s), int(a)) for s, a in zip(ds.states, ds.actions)}) == 2
-    mats = assemble_matrices(ds, model_win_policy(0.9), DeltaKernel(2))
-    assert np.array_equal(mats.point, np.eye(2))
+    point, _, _ = assemble_matrices(ds, model_win_policy(0.9), DeltaKernel(2))
+    assert np.array_equal(point, np.eye(2))
 
 
 def test_assembly_cross_block_deterministic_policy():
     ds = tabular_dataset(seed=2, n_traj=2, length=4)
     pol = TabularPolicy(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     kernel = RbfKernel(bandwidth=0.8, num_actions=2, num_states=3)
-    mats = assemble_matrices(ds, pol, kernel)
+    _, cross, _ = assemble_matrices(ds, pol, kernel)
     chosen = np.argmax(pol.prob_matrix(ds.next_states), axis=1)
     n = len(ds)
     expected = np.array(
@@ -295,7 +298,7 @@ def test_assembly_cross_block_deterministic_policy():
             for i in range(n)
         ]
     )
-    assert np.max(np.abs(mats.cross - expected)) < 1e-14
+    assert np.max(np.abs(cross - expected)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -310,39 +313,39 @@ def test_assembly_matches_nested_loop_oracle(kernel_factory):
     pol = model_win_policy(0.9)
     kernel = kernel_factory()
     point, cross, successor = nested_loop_blocks(ds, pol, kernel)
-    mats = assemble_matrices(ds, pol, kernel)
-    assert np.max(np.abs(mats.point - point)) < 1e-13
-    assert np.max(np.abs(mats.cross - cross)) < 1e-13
-    assert np.max(np.abs(mats.successor - successor)) < 1e-13
-    assert np.max(np.abs(mats.combined - (point - 2 * cross + successor))) < 1e-12
+    dense = assemble_matrices(ds, pol, kernel)
+    for got, want in zip(dense, (point, cross, successor)):
+        assert np.max(np.abs(got - want)) < 1e-13
+    combined, _ = dense_flow(ds, pol, kernel)
+    assert np.max(np.abs(combined - (point - 2 * cross + successor))) < 1e-12
 
 
 def test_kernel_matrices_invariants():
     ds = tabular_dataset(seed=4, n_traj=3, length=6)
     pol = model_win_policy(0.9)
     for kernel in (DeltaKernel(2), RbfKernel(bandwidth=1.1, num_actions=2, num_states=3)):
-        mats = assemble_matrices(ds, pol, kernel)
-        assert np.max(np.abs(mats.point - mats.point.T)) < 1e-14
-        assert np.max(np.abs(mats.successor - mats.successor.T)) < 1e-14
-        assert np.max(np.abs(mats.combined - (mats.point - 2 * mats.cross + mats.successor))) < 1e-12
+        point, cross, successor = assemble_matrices(ds, pol, kernel)
+        combined, mats = dense_flow(ds, pol, kernel)
+        assert np.max(np.abs(point - point.T)) < 1e-14
+        assert np.max(np.abs(successor - successor.T)) < 1e-14
         rng = make_rng(5)
         for _ in range(20):
             w = rng.normal(size=mats.n)
-            quad = w @ mats.combined @ w
+            quad = w @ combined @ w
             assert quad >= -1e-9 * float(w @ w)
-            parts = w @ mats.point @ w - 2 * (w @ mats.cross @ w) + w @ mats.successor @ w
+            parts = w @ point @ w - 2 * (w @ cross @ w) + w @ successor @ w
             assert abs(quad - parts) < 1e-12 * max(1.0, abs(quad))
-            assert abs(w @ mats.sym @ w - quad) < 1e-12 * max(1.0, abs(quad))
+            assert abs(w @ mats.matvec(w) - quad) < 1e-12 * max(1.0, abs(quad))
 
 
 def test_delta_successor_block_closed_form():
     ds = tabular_dataset(seed=6, n_traj=2, length=5)
     pol = model_win_policy(0.9)
-    mats = assemble_matrices(ds, pol, DeltaKernel(2))
+    _, _, successor = assemble_matrices(ds, pol, DeltaKernel(2))
     pi = pol.prob_matrix(ds.next_states)
     same = (np.asarray(ds.next_states)[:, None] == np.asarray(ds.next_states)[None, :])
     expected = (pi @ pi.T) * same
-    assert np.max(np.abs(mats.successor - expected)) < 1e-14
+    assert np.max(np.abs(successor - expected)) < 1e-14
 
 
 def test_assemble_combined_matches_dense_paths():
@@ -350,10 +353,10 @@ def test_assemble_combined_matches_dense_paths():
     assert len(ds) == 21  # block 3 tiles the rows; blocks 4 and 5 leave a ragged last block
     pol = model_win_policy(0.9)
     for kernel in (DeltaKernel(2), RbfKernel(bandwidth=0.9, num_actions=2, num_states=3)):
-        dense = assemble_matrices(ds, pol, kernel)
+        _, dense = dense_flow(ds, pol, kernel)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             lean = assemble_combined(ds, pol, kernel, dtype=dtype)
-            assert lean.point is None and lean.combined is None
+            assert [f.name for f in fields(lean)] == ["sym"]
             assert lean.sym.dtype == dtype
             assert np.array_equal(lean.sym, lean.sym.T)
             assert np.max(np.abs(lean.sym - dense.sym)) < tol
@@ -370,7 +373,7 @@ def test_assemble_combined_continuous_off_diagonal_blocks_match_dense():
     ds = continuous_dataset(30, seed=20)
     pol = tilted_policy()
     kernel = RbfKernel(bandwidth=1.3, action_scale=0.8, num_actions=2)
-    dense = assemble_matrices(ds, pol, kernel).sym
+    dense = dense_flow(ds, pol, kernel)[1].sym
     for block in (7, 8, 30):  # 5, 4 and 1 blocks on each side
         lean = assemble_combined(ds, pol, kernel, block=block).sym
         assert np.array_equal(lean, lean.T)

@@ -248,6 +248,7 @@ def test_trajectory_rejects_mismatched_lengths(lengths, match):
         ((3, 3, 3, 3), [0, 2, 1], r"traj_starts .* got \[0 2 1\]"),
         ((3, 3, 3, 3), [0, 3], r"below the 3 transitions; got \[0 3\]"),
         ((3, 3, 3, 3), [], r"traj_starts .* got \[\]"),
+        ((0, 0, 0, 0), [5, 3], r"an empty log has traj_starts \[0\]; got \[5 3\]"),
     ],
 )
 def test_transition_dataset_rejects_inconsistent_fields(lengths, traj_starts, match):

@@ -1,10 +1,12 @@
 """Discrepancy machinery: bilinear forms, the weighted flow loss, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bbope.envs import model_win, model_win_policy, random_tabular_mdp
-from bbope.kernels import DeltaKernel, RbfKernel, assemble_matrices
+from bbope.kernels import DeltaKernel, KernelMatrices, RbfKernel, assemble_matrices
 from bbope.mdp import TabularPolicy, TransitionDataset, sample_dataset
 from bbope.mmd import (
     DiscreteDistribution,
@@ -19,6 +21,8 @@ from bbope.mmd import (
 from bbope.oracle import exact_backward_apply, exact_stationary
 from bbope.rng import make_rng
 from bbope.weights import compress_tabular
+
+from flow_reference import dense_flow
 
 
 def random_policy(num_states, num_actions, seed):
@@ -38,7 +42,7 @@ def random_instance(seed, n=12, num_states=4, num_actions=2):
         num_actions=num_actions,
         num_states=num_states,
     )
-    mats = assemble_matrices(ds, target, kernel)
+    _, mats = dense_flow(ds, target, kernel)
     w_tilde = np.exp(make_rng(seed + 4000).normal(size=len(ds)))
     return ds, target, kernel, mats, w_tilde
 
@@ -163,8 +167,7 @@ def test_empirical_backward_single_sample_deterministic_policy():
         states=np.array([0]), actions=np.array([1]), rewards=np.zeros(1), next_states=np.array([2])
     )
     pol = TabularPolicy(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    out = empirical_backward(ds, np.array([1.0]), pol).consolidated(num_actions=2)
-    dense = out.to_dense(3, 2)
+    dense = empirical_backward(ds, np.array([1.0]), pol).to_dense(3, 2)
     expected = np.zeros((3, 2))
     expected[2, 1] = 1.0
     assert np.array_equal(dense, expected)
@@ -202,7 +205,7 @@ def test_empirical_backward_converges_to_exact_operator(onpolicy_big):
     w = d_pi[np.asarray(ds.states), np.asarray(ds.actions)] / counts[
         np.asarray(ds.states), np.asarray(ds.actions)
     ]
-    out = empirical_backward(ds, w, pol).consolidated(num_actions=2).to_dense(3, 2)
+    out = empirical_backward(ds, w, pol).to_dense(3, 2)
     oracle = exact_backward_apply(d_pi, mdp, pol)
     tv = 0.5 * np.abs(out - oracle).sum()
     assert tv <= 0.03
@@ -217,8 +220,9 @@ def test_loss_single_sample_is_combined_entry():
         states=np.array([0]), actions=np.array([0]), rewards=np.zeros(1), next_states=np.array([1])
     )
     pol = model_win_policy(0.9)
-    mats = assemble_matrices(ds, pol, DeltaKernel(2))
-    scalar = float(mats.point[0, 0] - 2.0 * mats.cross[0, 0] + mats.successor[0, 0])
+    point, cross, successor = assemble_matrices(ds, pol, DeltaKernel(2))
+    scalar = float(point[0, 0] - 2.0 * cross[0, 0] + successor[0, 0])
+    _, mats = dense_flow(ds, pol, DeltaKernel(2))
     assert abs(loss(np.array([1.0]), mats) - max(scalar, 0.0)) < 1e-15
 
 
@@ -226,15 +230,29 @@ def test_loss_uniform_two_samples_averages_entries():
     mdp = model_win(0.4)
     ds = sample_dataset(mdp, model_win_policy(0.7), 1, 2, seed=3)
     pol = model_win_policy(0.9)
-    mats = assemble_matrices(ds, pol, DeltaKernel(2))
-    expected = float(mats.combined.sum()) / 4.0
+    combined, mats = dense_flow(ds, pol, DeltaKernel(2))
+    expected = float(combined.sum()) / 4.0
     assert abs(loss(np.full(2, 0.5), mats) - expected) < 1e-14
+
+
+def test_loss_of_a_float32_matrix_makes_no_float64_copy():
+    n = 2000
+    mats = KernelMatrices(np.eye(n, dtype=np.float32))
+    w = np.full(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        value = loss(w, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value * n - 1.0) < 1e-6  # the product runs in float32
+    assert peak < 2**20  # a float64 copy of the matrix would be 32 MB
 
 
 def test_loss_near_zero_on_stationary_onpolicy_data(onpolicy_big):
     mdp, pol, ds = onpolicy_big
     compressed, counts, _ = compress_tabular(ds)
-    mats = assemble_matrices(compressed, pol, DeltaKernel(2))
+    _, mats = dense_flow(compressed, pol, DeltaKernel(2))
     w = counts / counts.sum()  # the plain empirical distribution
     assert loss(w, mats) <= 1e-3
 
@@ -248,7 +266,7 @@ def test_loss_matches_mmd_squared_cross_path():
         ds = sample_dataset(mdp, random_policy(4, 2, seed + 1), 2, 6, seed=seed)
         pol = random_policy(4, 2, seed + 2)
         kernel = kernel_factory()
-        mats = assemble_matrices(ds, pol, kernel)
+        _, mats = dense_flow(ds, pol, kernel)
         w = make_rng(seed + 3).dirichlet(np.ones(len(ds)))
         via_matrices = loss(w, mats)
         via_measures = mmd_squared(
@@ -263,7 +281,7 @@ def test_loss_invariant_under_joint_permutation():
     pol = random_policy(4, 2, 33)
     kernel = RbfKernel(bandwidth=0.9, num_actions=2, num_states=4)
     w = make_rng(34).dirichlet(np.ones(len(ds)))
-    base = loss(w, assemble_matrices(ds, pol, kernel))
+    base = loss(w, dense_flow(ds, pol, kernel)[1])
     perm = make_rng(35).permutation(len(ds))
     shuffled = TransitionDataset(
         states=np.asarray(ds.states)[perm],
@@ -271,7 +289,7 @@ def test_loss_invariant_under_joint_permutation():
         rewards=np.asarray(ds.rewards)[perm],
         next_states=np.asarray(ds.next_states)[perm],
     )
-    assert abs(loss(w[perm], assemble_matrices(shuffled, pol, kernel)) - base) < 1e-12
+    assert abs(loss(w[perm], dense_flow(shuffled, pol, kernel)[1]) - base) < 1e-12
 
 
 def test_loss_nonnegative_on_random_cases():
@@ -331,8 +349,7 @@ def test_log_loss_validates_inputs():
     _, _, _, mats, w_tilde = random_instance(53)
     with pytest.raises(ValueError):
         log_loss_full(np.zeros_like(w_tilde), mats)
-    zero = type(mats)(point=None, cross=None, successor=None, combined=None,
-                      sym=np.zeros((len(w_tilde), len(w_tilde))))
+    zero = KernelMatrices(np.zeros((len(w_tilde), len(w_tilde))))
     with pytest.raises(ValueError):
         log_loss_full(w_tilde, zero)
 
@@ -372,7 +389,7 @@ def test_minibatch_tied_weights_gain_nothing():
         next_states=np.array([3, 3, 4]),  # successors disjoint from sources
     )
     pol = TabularPolicy(np.tile([[0.5, 0.5]], (5, 1)))
-    mats = assemble_matrices(ds, pol, DeltaKernel(2))
+    _, mats = dense_flow(ds, pol, DeltaKernel(2))
     assert np.min(mats.sym) >= 0.0
     w_tilde = np.full(3, 2.7)
     est = log_loss_minibatch_grad(w_tilde, mats, batch_pairs=4, seed=9)

@@ -31,6 +31,33 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+# what `import bbope` may load beyond numpy's own imports: a new module-level
+# import lands on the start-up time of every benchmark and CLI run
+IMPORT_ALLOWLIST = {
+    "__future__", "_blake2", "_hashlib", "_json", "copy", "dataclasses", "hashlib", "json",
+    "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=120).stdout
+
+
+def test_import_adds_no_module_beyond_the_allowlist():
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import bbope\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    added = set(run_python("-c", script).split())
+    foreign = {m for m in added if m != "bbope" and not m.startswith("bbope.")}
+    assert foreign <= IMPORT_ALLOWLIST, sorted(foreign - IMPORT_ALLOWLIST)
+
+
 def test_inconsistent_dataset_fails_under_optimize():
     script = (
         "import numpy as np\n"
@@ -41,8 +68,5 @@ def test_inconsistent_dataset_fails_under_optimize():
         "except ValueError as exc:\n"
         "    print('ValueError:', exc)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.startswith("ValueError:") and "got 3, 2, 5 and 1" in out.stdout
+    out = run_python("-O", "-c", script)
+    assert out.startswith("ValueError:") and "got 3, 2, 5 and 1" in out

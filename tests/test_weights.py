@@ -30,8 +30,7 @@ from bbope.weights import (
 
 
 def synthetic_matrices(sym):
-    sym = np.asarray(sym, dtype=np.float64)
-    return KernelMatrices(point=None, cross=None, successor=None, combined=sym, sym=sym)
+    return KernelMatrices(np.asarray(sym, dtype=np.float64))
 
 
 def two_distinct_pairs():
@@ -210,7 +209,7 @@ def test_an_empty_tabular_log_reaches_the_empty_dataset_error(estimator):
 
 def test_eg_identity_two_distinct_pairs_is_uniform():
     ds = two_distinct_pairs()
-    w, model, info = solve_tabular(synthetic_matrices(np.eye(2)), ds)
+    w, model, info = solve_tabular(synthetic_matrices(np.eye(2)), ds, num_actions=1)
     assert np.array_equal(w, np.array([0.5, 0.5]))
     assert len(model.group_codes) == 2
 
@@ -219,7 +218,7 @@ def test_eg_diagonal_minimizer():
     # minimize w^2 + 3 (1 - w)^2 over the simplex: stationary at w = 0.75
     ds = two_distinct_pairs()
     cfg = OptimizerConfig(epochs=5000)
-    w, _, info = solve_tabular(synthetic_matrices(np.diag([1.0, 3.0])), ds, config=cfg)
+    w, _, info = solve_tabular(synthetic_matrices(np.diag([1.0, 3.0])), ds, num_actions=1, config=cfg)
     np.testing.assert_allclose(w, [0.75, 0.25], rtol=0, atol=1e-5)
     assert abs(info["final_loss"] - 0.75) < 1e-10
     # independent grid check at resolution 1e-4 lands exactly on (0.75, 0.25)
@@ -267,7 +266,7 @@ def test_eg_single_group_short_circuits():
         rewards=np.zeros(3),
         next_states=np.array([0, 2, 1]),
     )
-    w, model, info = solve_tabular(synthetic_matrices(np.eye(3)), ds)
+    w, model, info = solve_tabular(synthetic_matrices(np.eye(3)), ds, num_actions=1)
     assert info["iterations"] == 0
     np.testing.assert_allclose(w, np.full(3, 1.0 / 3.0), rtol=0, atol=1e-15)
     assert np.array_equal(model.group_mass, np.array([1.0]))
@@ -320,16 +319,30 @@ def test_solve_rejects_unseen_query_pair():
         model.sample_weights(np.array([1]), np.array([0]))
 
 
+# s * 2 + a of each query is the code of a fitted pair: (1, 0) and (0, 1)
+@pytest.mark.parametrize("state,action", [(0, 2), (1, -1)])
+def test_sample_weights_rejects_actions_outside_the_model(state, action):
+    ds = TransitionDataset(
+        states=np.array([0, 0, 1]),
+        actions=np.array([0, 1, 0]),
+        rewards=np.zeros(3),
+        next_states=np.array([1, 1, 0]),
+    )
+    _, model, _ = solve_tabular(synthetic_matrices(np.eye(3)), ds, num_actions=2)
+    with pytest.raises(ValueError, match=r"query actions must lie in \[0, 2\)"):
+        model.sample_weights(np.array([state]), np.array([action]))
+
+
 def test_solve_rejects_continuous_data():
     ds, _, matrices = continuous_instance(4)
     with pytest.raises(ValueError):
-        solve_tabular(matrices, ds)
+        solve_tabular(matrices, ds, num_actions=2)
 
 
 def test_solve_rejects_mismatched_matrices():
     ds = two_distinct_pairs()
     with pytest.raises(ValueError):
-        solve_tabular(synthetic_matrices(np.eye(3)), ds)
+        solve_tabular(synthetic_matrices(np.eye(3)), ds, num_actions=1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +538,13 @@ def test_final_bias_shift_leaves_weights_unchanged():
         np.testing.assert_allclose(moved, base, rtol=0, atol=1e-10)
 
 
-def test_training_reports_divergence_with_epoch():
+def test_training_reports_divergence_with_epoch(monkeypatch):
     ds, kernel, _ = continuous_instance(34, n=6)
     bad = synthetic_matrices(np.full((6, 6), np.nan))
+    monkeypatch.setattr(weights, "assemble_combined", lambda *args, **kwargs: bad)
     cfg = OptimizerConfig(method="sgd_adamlike", epochs=5)
     with pytest.raises(FloatingPointError, match="epoch 1"):
-        train_parametric(ds, UniformPolicy(2), kernel, config=cfg, matrices=bad)
+        train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
 
 
 def test_training_enforces_matrix_row_cap():
@@ -538,19 +552,6 @@ def test_training_enforces_matrix_row_cap():
     cfg = OptimizerConfig(method="sgd_adamlike", epochs=1, max_matrix_rows=4)
     with pytest.raises(ValueError, match="max_matrix_rows"):
         train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
-
-
-def test_training_rejects_mismatched_matrices():
-    ds, kernel, matrices = continuous_instance(36, n=8)
-    small = TransitionDataset(
-        states=np.asarray(ds.states)[:5],
-        actions=np.asarray(ds.actions)[:5],
-        rewards=np.asarray(ds.rewards)[:5],
-        next_states=np.asarray(ds.next_states)[:5],
-    )
-    cfg = OptimizerConfig(method="sgd_adamlike", epochs=1)
-    with pytest.raises(ValueError):
-        train_parametric(small, UniformPolicy(2), kernel, config=cfg, matrices=matrices)
 
 
 def test_trained_mlp_agrees_with_tabular_solver_on_modelwin():
