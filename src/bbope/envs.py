@@ -318,7 +318,7 @@ def _mountain_car_rule(state):
     return out
 
 
-_PENDULUM_TORQUES = np.array(_C["pendulum.torques"])
+_PENDULUM_TORQUES = _C["pendulum.torques"]  # a tuple of floats
 _PENDULUM_UPRIGHT_POT = 3.0 * _C["pendulum.gravity"] / (2.0 * _C["pendulum.length"])
 
 
@@ -331,7 +331,10 @@ def _pendulum_rule(state):
         gap = _PENDULUM_UPRIGHT_POT - energy
         direction = om if abs(om) > 1e-3 else 1.0
         u = _PENDULUM_TORQUES[-1] * math.copysign(1.0, direction * gap)
-    idx = int(np.argmin(np.abs(_PENDULUM_TORQUES - u)))
+    idx, best = 0, abs(_PENDULUM_TORQUES[0] - u)
+    for i, torque in enumerate(_PENDULUM_TORQUES):  # the nearest torque, the first on a tie
+        if abs(torque - u) < best:
+            idx, best = i, abs(torque - u)
     out = np.zeros(len(_PENDULUM_TORQUES))
     out[idx] = 1.0
     return out

@@ -62,6 +62,19 @@ def naive_average(dataset):
     return EstimateReport(method="naive", estimate=est, num_transitions=len(dataset))
 
 
+def _check_actions(dataset, policy):
+    """Reject a logged action outside [0, policy.num_actions); one O(n) pass."""
+    actions = np.asarray(dataset.actions)
+    num_actions = policy.num_actions
+    bad = (actions < 0) | (actions >= num_actions)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"logged action {actions[i].item()!r} at row {i} is outside [0, {num_actions}): "
+            f"the policy has {num_actions} actions"
+        )
+
+
 # the optimizer method that fits each weight model
 _SOLVER_METHOD = {"tabular": "exp_gradient", "mlp": "sgd_adamlike"}
 
@@ -76,8 +89,10 @@ def blackbox_estimate(dataset, policy, kernel=None, config=None, weight_model="a
     "tabular" for integer states and "mlp" otherwise.  kernel defaults to
     the exact-match kernel on tabular data and must be given explicitly
     for continuous data.  config.method must name the model's solver:
-    "exp_gradient" for "tabular", "sgd_adamlike" for "mlp".
+    "exp_gradient" for "tabular", "sgd_adamlike" for "mlp".  Every
+    logged action must lie in [0, policy.num_actions).
     """
+    _check_actions(dataset, policy)
     if weight_model == "auto":
         weight_model = "tabular" if dataset.is_tabular else "mlp"
     if weight_model not in _SOLVER_METHOD:
@@ -132,7 +147,9 @@ def model_based_estimate(dataset, policy, kernel=None, ridge=1e-6, tol=1e-10,
     exact-match kernel this reproduces the count-based empirical model.
     The kernel must be an RbfKernel or a DeltaKernel, and the chain's rows
     (distinct triples, if tabular) at most the default max_matrix_rows.
+    Every logged action must lie in [0, policy.num_actions).
     """
+    _check_actions(dataset, policy)
     counts = None
     work = dataset
     if dataset.is_tabular:
@@ -165,6 +182,8 @@ def tabular_stationary_ips(dataset, behavior_policy, target_policy):
     """
     if not dataset.is_tabular:
         raise ValueError("stationary-ratio importance sampling needs tabular states")
+    for policy in (behavior_policy, target_policy):
+        _check_actions(dataset, policy)
     states = np.asarray(dataset.states)
     nexts = np.asarray(dataset.next_states)
     actions = np.asarray(dataset.actions)

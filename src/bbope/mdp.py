@@ -158,7 +158,19 @@ class FunctionPolicy:
         return self._num_actions
 
     def action_probabilities(self, state):
-        return self.prob_matrix([state])[0]
+        """``prob_matrix([state])[0]``, checked in Python floats (the per-step sampler's path)."""
+        row = np.asarray(self.fn(state), dtype=np.float64)
+        if row.shape != (self._num_actions,):
+            raise PolicyStateError(state, f"rule returned shape {row.shape}")
+        probs = row.tolist()
+        if len(probs) < 8:  # numpy sums fewer than 8 entries left to right, as here
+            total = 0.0
+            for p in probs:
+                total += p
+            if abs(total - 1.0) <= 1e-9 and min(probs) >= -1e-12:  # NaN fails the first
+                return np.array([p if p > 0.0 else 0.0 for p in probs])
+        # a failing row, or 8+ actions: numpy's check raises or clips, as in prob_matrix
+        return _check_prob_rows(row[None, :], lambda i: f"{self.name} output at {state!r}")[0]
 
     def prob_matrix(self, states):
         rows = [np.asarray(self.fn(s), dtype=np.float64) for s in states]

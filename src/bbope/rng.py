@@ -48,14 +48,25 @@ def categorical(rng, probs):
     lands exactly on a boundary resolves to the lower index.  This is the
     single sampling rule used for every discrete draw in the package, so
     that trajectories are reproducible bit-for-bit from their seeds.
+    The CDF is built in Python floats, which add exactly as ``np.cumsum``
+    does; a draw past the accumulated mass (by roundoff) clamps to the
+    last index.  Non-finite entries raise ``ValueError``.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(probs)
-    if abs(cdf[-1] - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {cdf[-1]!r}, not 1")
+    probs = np.asarray(probs, dtype=np.float64).tolist()
+    cdf = []
+    total = 0.0
+    for p in probs:
+        total += p
+        cdf.append(total)
+    if not abs(total - 1.0) <= 1e-9:  # a NaN or infinite entry fails this too
+        if not np.isfinite(total):
+            raise ValueError(f"probabilities have non-finite entries: {probs!r}")
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     u = rng.random()
-    idx = int(np.searchsorted(cdf, u, side="left"))
-    return min(idx, len(probs) - 1)
+    for i, c in enumerate(cdf):  # first i with cdf[i] >= u: searchsorted(side="left")
+        if c >= u:
+            return i
+    return len(cdf) - 1
 
 
 def categorical_rows(rng, prob_rows):

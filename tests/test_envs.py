@@ -19,8 +19,10 @@ from bbope.envs import (
     scripted_near_optimal,
 )
 from bbope.envs import _load_constants
-from bbope.mdp import UniformPolicy, sample_trajectory
+from bbope.mdp import MixedPolicy, UniformPolicy, sample_trajectory
 from bbope.rng import make_rng
+
+import sampler_reference
 
 CONSTANTS = _load_constants()
 
@@ -319,3 +321,112 @@ def test_constants_file_is_complete_and_finite():
         assert all(math.isfinite(float(v)) for v in values), key
     for prefix in CONTROL_NAMES:
         assert any(k.startswith(prefix + ".") for k in CONSTANTS), prefix
+
+
+# ---------------------------------------------------------------------------
+# the samplers against the numpy-per-step reference
+
+
+def scripted_pair(name):
+    """The package's scripted policy and the reference's (only pendulum's differs)."""
+    scripted = scripted_near_optimal(name)
+    return scripted, sampler_reference.pendulum_policy() if name == "pendulum" else scripted
+
+
+@pytest.mark.parametrize("name", CONTROL_NAMES)
+@pytest.mark.parametrize("alpha", [0.9, 0.3])
+def test_samplers_match_the_numpy_reference_bit_for_bit(name, alpha):
+    env = infinite_horizon(classic_control(name))
+    scripted, reference_scripted = scripted_pair(name)
+    uniform = UniformPolicy(env.num_actions)
+    policy = MixedPolicy(scripted, uniform, alpha)
+    reference = MixedPolicy(reference_scripted, uniform, alpha)
+    for seed in (0, 1, 17):
+        traj = sample_env_trajectory(env, policy, 300, seed)
+        states, actions, rewards = sampler_reference.trajectory(env, reference, 300, seed)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.actions, actions)
+        assert np.array_equal(traj.rewards, rewards)
+        log = sample_env_dataset(env, policy, 3, 100, seed)
+        expected = sampler_reference.dataset(env, reference, 3, 100, seed)
+        got = (log.states, log.actions, log.rewards, log.next_states, log.traj_starts)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_reference_cartpole_log_covers_falls_and_terminal_stops():
+    # falls reset inside a step, so those steps draw the reset from the same stream
+    env = infinite_horizon(classic_control("cartpole"))
+    policy = MixedPolicy(scripted_near_optimal("cartpole"), UniformPolicy(2), 0.3)
+    log = sample_env_dataset(env, policy, 3, 200, seed=4)
+    expected = sampler_reference.dataset(env, policy, 3, 200, seed=4)
+    assert np.count_nonzero(expected[2] == CONSTANTS["cartpole.fall_reward"]) >= 3
+    assert all(np.array_equal(a, b) for a, b in
+               zip((log.states, log.actions, log.rewards, log.next_states), expected))
+    # an unwrapped env stops at its first fall, in both samplers
+    bare = classic_control("cartpole")
+    traj = sample_env_trajectory(bare, policy, 500, seed=4)
+    states, actions, rewards = sampler_reference.trajectory(bare, policy, 500, seed=4)
+    assert len(traj) < 500 and traj.rewards[-1] == CONSTANTS["cartpole.fall_reward"]
+    assert np.array_equal(traj.states, states) and np.array_equal(traj.actions, actions)
+
+
+def test_pendulum_rule_picks_the_nearest_torque_first_on_a_tie():
+    scripted = scripted_near_optimal("pendulum")
+    rng = make_rng(9)
+    states = np.column_stack([rng.uniform(-4.0, 4.0, 2000), rng.uniform(-9.0, 9.0, 2000)])
+    # near the top u = -8 th - 2 om; om = -u / 2 at th = 0 puts u halfway between torques
+    ties = [[0.0, -u / 2.0] for u in (-1.5, -0.5, 0.5, 1.5, 0.25, 3.0, -3.0)]
+    for state in np.concatenate([states, ties]):
+        assert np.array_equal(scripted.fn(state), sampler_reference.pendulum_rule(state))
+    assert scripted.fn(np.array([0.0, -0.25])).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def test_one_step_is_one_policy_call_and_one_env_step(monkeypatch):
+    """perfbench reads `envs.steps` and `mdp.policy.action_probabilities.calls`
+    as one per simulated step; both count the outermost call only."""
+    from bbope import envs, mdp
+
+    calls = {"step": 0, "policy": 0}
+    depth = [0]
+
+    def counting_policy(original):
+        def action_probabilities(self, state):
+            calls["policy"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return original(self, state)
+            finally:
+                depth[0] -= 1
+        return action_probabilities
+
+    for cls in (mdp.TabularPolicy, mdp.FunctionPolicy, mdp.UniformPolicy, mdp.MixedPolicy):
+        monkeypatch.setattr(cls, "action_probabilities", counting_policy(cls.action_probabilities))
+    step = envs.ContinuousEnv.step
+
+    def counting_step(self, *args, **kwargs):
+        calls["step"] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(envs.ContinuousEnv, "step", counting_step)
+    env = infinite_horizon(classic_control("cartpole"))
+    policy = MixedPolicy(scripted_near_optimal("cartpole"), UniformPolicy(2), 0.5)
+    log = sample_env_dataset(env, policy, 3, 50, seed=2)
+    assert len(log) == 150
+    assert calls == {"step": 150, "policy": 150}
+
+
+def test_perfbench_tracer_targets_still_exist():
+    """Every attribute perfbench's tracer wraps is still defined on its owner."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.bbope_targets()
+    names = {name for name, _, _, _ in targets}
+    assert {"envs.steps", "mdp.policy.action_probabilities", "envs.sample_env_trajectory"} <= names
+    for name, owner, attribute, _ in targets:
+        assert callable(vars(owner).get(attribute)), name

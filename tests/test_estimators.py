@@ -465,3 +465,61 @@ def test_nearest_rank_on_sorted_values():
     assert nearest_rank(values, 100.0) == 50.0
     with pytest.raises(ValueError):
         nearest_rank([], 50.0)
+
+
+# ---------------------------------------------------------------------------
+# logged actions outside the policy's action set
+
+
+def log_with_action(bad_action):
+    """A 4-row two-state log whose second row logs `bad_action`."""
+    return TransitionDataset(
+        states=np.array([0, 1, 0, 1]),
+        actions=np.array([0, bad_action, 1, 0]),
+        rewards=np.array([1.0, 3.0, 2.0, 1.0]),
+        next_states=np.array([1, 0, 1, 0]),
+    )
+
+
+def continuous_log_with_action(bad_action):
+    states = make_rng(4).normal(size=(5, 2))
+    return TransitionDataset(
+        states=states[:4], actions=np.array([0, 1, bad_action, 0]),
+        rewards=np.arange(4.0), next_states=states[1:],
+    )
+
+
+OUT_OF_RANGE = r"logged action {} at row {} is outside \[0, 2\): the policy has 2 actions"
+
+
+@pytest.mark.parametrize("bad_action", [-1, 2])
+def test_blackbox_rejects_an_action_outside_the_policy(bad_action):
+    # a -1 used to be read as the last action: the estimate was 1.689 with no error
+    policy = TabularPolicy([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 1)):
+        blackbox_estimate(log_with_action(bad_action), policy)
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 2)):
+        blackbox_estimate(continuous_log_with_action(bad_action), UniformPolicy(2),
+                          RbfKernel(1.0, num_actions=2))
+
+
+@pytest.mark.parametrize("bad_action", [-1, 2])
+def test_model_based_rejects_an_action_outside_the_policy(bad_action):
+    # a tabular -1 used to give 1.75 with no error; a continuous 2 an IndexError
+    policy = TabularPolicy([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 1)):
+        model_based_estimate(log_with_action(bad_action), policy)
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 2)):
+        model_based_estimate(continuous_log_with_action(bad_action), UniformPolicy(2),
+                             RbfKernel(1.0, num_actions=2))
+
+
+@pytest.mark.parametrize("bad_action", [-1, 2])
+def test_ips_rejects_an_action_outside_the_policy(bad_action):
+    # a -1 used to give 1.84 with no error
+    policy = TabularPolicy([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 1)):
+        tabular_stationary_ips(log_with_action(bad_action), UniformPolicy(2), policy)
+    with pytest.raises(ValueError, match=OUT_OF_RANGE.format(bad_action, 1)):
+        tabular_stationary_ips(log_with_action(bad_action), policy, UniformPolicy(2))
+    assert 1.0 <= tabular_stationary_ips(log_with_action(1), UniformPolicy(2), policy).estimate <= 3.0

@@ -1,6 +1,7 @@
 """Core MDP types, trajectory generation, and the discounted reduction."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -457,3 +458,85 @@ def test_sample_dataset_bytes_are_pinned(S, A, T, budget):
     ds = sample_dataset(mdp, pol, 5, T, seed=T, total_budget=total)
     fields = (ds.states, ds.actions, ds.rewards, ds.next_states, ds.traj_starts)
     assert digest(*fields) == DATASET_DIGESTS[S, A, T, budget]
+
+
+# ---------------------------------------------------------------------------
+# action_probabilities is prob_matrix's one-row case
+
+
+def outcome(call):
+    """The bytes a policy call returns, or the type and message it raises."""
+    try:
+        row = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return row.dtype.str, row.shape, row.tobytes()
+
+
+def test_action_probabilities_match_prob_matrix_bit_for_bit():
+    rng = make_rng(3)
+    table = rng.dirichlet(np.ones(4), size=6)
+    tabular = TabularPolicy(table)
+    uniform = UniformPolicy(4)
+    rule = FunctionPolicy(lambda s: table[int(s[0]) % 6] * (1.0 + 1e-13) - 1e-13 / 4, 4)
+    for policy in (tabular, uniform, rule, MixedPolicy(rule, uniform, 0.3),
+                   MixedPolicy(uniform, rule, 1.0 / 3.0)):
+        for s in range(6):
+            state = s if policy is tabular else np.array([float(s), 0.5])
+            row = policy.action_probabilities(state)
+            assert outcome(lambda: row) == outcome(lambda: policy.prob_matrix([state])[0])
+
+
+@pytest.mark.parametrize("num_actions", [1, 2, 3, 5, 7, 8, 9, 12])
+def test_function_policy_row_check_matches_prob_matrix_near_every_bound(num_actions):
+    # rows whose sum or smallest entry sits at either side of the 1e-9 / -1e-12 bounds
+    rng = make_rng(num_actions)
+    offsets = [0.0, 9.99e-10, 1.0e-9, 1.001e-9, -1.0e-9, -1.001e-9, 1e-3]
+    rows = []
+    for _ in range(60):
+        row = rng.dirichlet(np.ones(num_actions)) * rng.uniform(0.5, 1.5)
+        row /= row.sum()
+        row[rng.integers(num_actions)] += offsets[rng.integers(len(offsets))]
+        rows.append(row)
+    rows += [np.r_[1.0 + 1e-12, np.full(num_actions - 1, -1e-12 / max(num_actions - 1, 1))],
+             np.r_[1.0, np.full(num_actions - 1, -0.0)]]
+    if num_actions > 1:
+        rows += [np.r_[1.0 + 2e-12, -1.1e-12, np.zeros(num_actions - 2)]]
+    for row in rows:
+        policy = FunctionPolicy(lambda s, row=row: row, num_actions, name="rule")
+        got = outcome(lambda: policy.action_probabilities(0.5))
+        assert got == outcome(lambda: policy.prob_matrix([0.5])[0])
+        if len(got) == 3:
+            assert policy.action_probabilities(0.5) is not row
+
+
+@pytest.mark.parametrize("output, problem", [
+    ([np.nan, 1.0], "has non-finite entries"),
+    ([np.inf, 0.0], "has non-finite entries"),
+    ([np.inf, -np.inf], "has non-finite entries"),
+    ([1.5, -0.5], "has negative entries"),
+    ([0.6, 0.6], r"sums to (np\.float64\()?1\.2\)?, not 1"),
+    ([0.1, 0.2, 0.7], None),
+    ([[0.5, 0.5]], None),
+    (0.5, None),
+])
+def test_bad_rule_rows_raise_alike_on_both_paths(output, problem):
+    rule = FunctionPolicy(lambda s: output, 2, name="rule")
+    mixed = MixedPolicy(rule, UniformPolicy(2), 0.5)
+    for policy in (rule, mixed):
+        one = outcome(lambda: policy.action_probabilities(0.25))
+        assert one == outcome(lambda: policy.prob_matrix([0.25])[0])
+        if problem is None:
+            assert one[0] is PolicyStateError and "rule returned shape" in one[1]
+        else:
+            assert one[0] is ValueError and re.fullmatch(f"rule output at 0.25 {problem}", one[1])
+
+
+def test_function_policy_returns_a_fresh_row():
+    out = np.array([0.25, 0.75])
+    policy = FunctionPolicy(lambda s: out, 2)
+    row = policy.action_probabilities(0)
+    assert row is not out and not np.shares_memory(row, out)
+    row[0] = 9.0
+    assert out.tolist() == [0.25, 0.75]
+    assert policy.action_probabilities(0).dtype == np.float64

@@ -82,3 +82,30 @@ def test_categorical_rows_matches_scalar_rule():
         for r, ui in zip(rows, u)
     ]
     assert idx.tolist() == expected
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf]])
+def test_categorical_rejects_non_finite_mass(probs):
+    with pytest.raises(ValueError, match="non-finite"):
+        categorical(make_rng(1), probs)
+
+
+def test_categorical_matches_cumsum_and_searchsorted():
+    # the same single draw, the same index, including roundoff past the last entry
+    rng = make_rng(8)
+    rows = [rng.dirichlet(np.ones(k)) for k in (1, 2, 3, 5, 9) for _ in range(200)]
+    rows += [np.array([0.1, 0.2, 0.3, 0.4 - 1e-10]), np.array([0.0, 0.5, 0.0, 0.5, 0.0])]
+    for seed, probs in enumerate(rows):
+        u = make_rng(seed).random()
+        expected = min(int(np.searchsorted(np.cumsum(probs), u, side="left")), len(probs) - 1)
+        draws = make_rng(seed)
+        assert categorical(draws, probs) == expected
+        assert draws.random() == make_rng(seed).random(2)[1]
+
+
+def test_categorical_clamps_a_draw_past_the_accumulated_mass():
+    class FixedRng:
+        def random(self):
+            return 1.0 - 5e-11
+
+    assert categorical(FixedRng(), [0.5, 0.5 - 1e-10, 0.0]) == 2
