@@ -322,8 +322,9 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
         raw[i, j] = sum_b pi(b | s'_i) *
                     k((s_j, a_j), (s'_i, b)) m_j / sum_l k((s_l, a_l), (s'_i, b)) m_l
 
-    with anchor multiplicities m (all ones by default; the duplicate
-    counts for compressed tabular data).  The two supported kernels both
+    with anchor multiplicities m: all ones by default, the duplicate
+    counts for compressed tabular data, and always finite and >= 0 with
+    a positive sum.  The two supported kernels both
     factor as k = k_state(s, t) * gamma ** [a != b]: the Gaussian kernel
     with its action factor, and the exact-match kernel with
     k_state = [s == t] and gamma = 0, where this is exactly the empirical
@@ -332,18 +333,18 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
     kernel mass, e.g. a Gaussian successor far from every logged state)
     contributes nothing, and its policy mass renormalizes over the
     matched ones; a row with no match at all restarts at m / sum(m).
-    `ridge` >= 0 is added on the diagonal and rows are renormalized to
-    sum to one.  The stationary distribution of the result is the
+    A finite `ridge` >= 0 is added on the diagonal and rows are
+    renormalized to sum to one.  The stationary distribution of the result is the
     model-based estimate of the target policy's long-run pair
     distribution on the sample.  `dtype` sets the arithmetic of the
     kernel row blocks; the result is always float64, written block by
     block with no full-size copy in `dtype`.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be non-negative, got {ridge}")
+    if not 0.0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
     gamma, src, nxt, pi_next, acts = _prepare(dataset, policy, kernel, dtype)
     n = len(dataset)
-    counts = (np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)).astype(dtype)
+    counts = (np.ones(n) if counts is None else _check_counts(counts, n)).astype(dtype)
     restart = counts / counts.sum()
     act_onehot = np.zeros((n, pi_next.shape[1]), dtype=dtype)
     act_onehot[np.arange(n), acts] = 1.0
@@ -357,14 +358,30 @@ def smoothed_transition_matrix(dataset, policy, kernel, ridge=1e-6, counts=None,
             denom = _blend(denom, gamma, g.sum(axis=1)[:, None])
         ratio = np.divide(pi_next[r0:r1], denom, out=np.zeros_like(denom), where=denom > 0)
         factor = _blend(ratio, gamma, ratio.sum(axis=1)[:, None]) if gamma else ratio
-        g *= factor[:, acts]  # per (row, action) factor, gathered to the anchors' actions
+        g *= np.take(factor, acts, axis=1)  # the (row, action) factor gathered to each anchor
         g[~np.any(ratio > 0, axis=1)] = restart  # no matched successor pair
-        raw[r0:r1] = g
+        rows = raw[r0:r1]
+        rows[...] = g
         del g  # free this block before state_block builds the next one
-
-    raw[np.arange(n), np.arange(n)] += float(ridge)
-    raw /= raw.sum(axis=1)[:, None]
+        # row sums are row-local, so ridge and normalization per block give the whole-matrix bits
+        rows[np.arange(r1 - r0), np.arange(r0, r1)] += float(ridge)
+        rows /= rows.sum(axis=1)[:, None]
     return raw
+
+
+def _check_counts(counts, n):
+    """counts as float64 anchor multiplicities, one per row: finite, >= 0, positive sum."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != (n,):
+        raise ValueError(f"counts has shape {counts.shape}, the dataset has {n} rows; "
+                         f"pass one multiplicity per row")
+    if not np.all(np.isfinite(counts)):
+        raise ValueError("counts must be finite")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    if not counts.sum() > 0:
+        raise ValueError("counts must have a positive sum: some anchor must count")
+    return counts
 
 
 class TransformedKernel(Kernel):

@@ -53,7 +53,12 @@ def stationary_of_matrix(P, tol=1e-13, max_iter=200_000):
     d = np.full(m, 1.0 / m)
     for it in range(max_iter):
         nxt = 0.5 * (d + d @ P)
-        nxt /= nxt.sum()
+        total = nxt.sum()
+        if not 0.0 < total < np.inf:  # NaN fails this too
+            raise FloatingPointError(
+                f"stationary power iteration: the iterate sums to {total} at iteration {it + 1}; "
+                f"P must be finite and non-negative")
+        nxt /= total
         if np.abs(nxt - d).sum() <= 0.25 * tol:
             d = nxt
             resid = np.abs(d @ P - d).sum()

@@ -234,10 +234,36 @@ def solve_tabular(matrices, dataset, num_actions, config=None, counts=None):
 # MLP weight model
 
 
-def _sigmoid(z):
-    # exp of -|z| never overflows; 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z, e):
+    """sigmoid(z) in place, with e (z's shape) as scratch.
+
+    e = exp(-|z|) never overflows; the numerator max(copysign(1, z), e)
+    is 1 for z >= 0 (-0.0 too, where e is 1) and e below, so
+    1 / (1 + e^-z) and e^z / (1 + e^z) need no mask.  In place, np.sign
+    took ~8x as long as np.copysign (numpy 2.4).
+    """
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.copysign(1.0, z, out=z)
+    np.maximum(z, e, out=z)
+    e += 1.0
+    z /= e
+    return z
+
+
+class _MlpBuffers:
+    """The n-row arrays of one forward and backward pass.
+
+    ``outputs[i]`` holds layer i's output.  ``spare[i]`` (hidden layers
+    only) holds exp(-|z|) in the forward pass, then the gradient with
+    respect to layer i's pre-activation in the backward pass.
+    """
+
+    def __init__(self, weights, n):
+        widths = [W.shape[1] for W, _ in weights]
+        self.outputs = [np.empty((n, h)) for h in widths]
+        self.spare = [np.empty((n, h)) for h in widths[:-1]]
 
 
 @dataclass
@@ -268,17 +294,21 @@ class MlpWeightModel:
             layers.append((W, b))
         return cls(weights=layers, input_dim=int(input_dim))
 
-    def _forward(self, X):
+    def _forward(self, X, buffers):
         """One forward pass: the activations [X, sigmoid layers..., linear
-        output] and the log-weights, the output clipped to [-80, 80]."""
+        output] and the log-weights, the output clipped to [-80, 80].  The
+        layers are written into `buffers`, `_MlpBuffers` for X's rows."""
         acts = [np.asarray(X, dtype=np.float64)]
         for i, (W, b) in enumerate(self.weights):
-            z = acts[-1] @ W + b
-            acts.append(z if i == len(self.weights) - 1 else _sigmoid(z))
+            z = np.matmul(acts[-1], W, out=buffers.outputs[i])
+            z += b
+            if i < len(self.weights) - 1:
+                _sigmoid(z, buffers.spare[i])
+            acts.append(z)
         return acts, np.clip(acts[-1][:, 0], -80.0, 80.0)
 
     def log_weights(self, X):
-        return self._forward(X)[1]
+        return self._forward(X, _MlpBuffers(self.weights, len(X)))[1]
 
     def flat_parameters(self):
         return np.concatenate([np.concatenate([W.reshape(-1), b]) for W, b in self.weights])
@@ -295,7 +325,7 @@ class MlpWeightModel:
             pos += nw + nb
 
 
-def mlp_forward_backward(model, X, upstream_of):
+def mlp_forward_backward(model, X, upstream_of, *, _buffers=None):
     """Log-weights and the exact parameter gradient of sum_i u_i * o(x_i).
 
     One forward pass gives the log-weights (the outputs o clipped to
@@ -303,9 +333,11 @@ def mlp_forward_backward(model, X, upstream_of):
     is the upstream gradient, and plain reverse-mode through the sigmoid
     stack reuses the pass's activations.  The gradient is that of the
     unclipped outputs.  Returns (log_weights, flat_grad) with flat_grad
-    laid out like `flat_parameters`.
+    laid out like `flat_parameters`.  `_buffers` lets `train_parametric`
+    run every epoch in one set of `_MlpBuffers`; the results are the same.
     """
-    acts, logw = model._forward(X)
+    buffers = _MlpBuffers(model.weights, len(X)) if _buffers is None else _buffers
+    acts, logw = model._forward(X, buffers)
     upstream = np.asarray(upstream_of(logw), dtype=np.float64)
     grads = [None] * len(model.weights)
     delta = upstream[:, None]  # gradient w.r.t. the final linear pre-activation
@@ -313,7 +345,10 @@ def mlp_forward_backward(model, X, upstream_of):
         grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         if i > 0:
             sig = acts[i]  # the sigmoid's output gives its derivative
-            delta = (delta @ model.weights[i][0].T) * sig * (1.0 - sig)
+            # (delta @ W.T) * sig * (1 - sig), left to right; sig is not read again
+            delta = np.matmul(delta, model.weights[i][0].T, out=buffers.spare[i - 1])
+            delta *= sig
+            delta *= np.subtract(1.0, sig, out=sig)
     flat = np.concatenate([np.concatenate([gW.reshape(-1), gb]) for gW, gb in grads])
     return logw, flat
 
@@ -384,8 +419,9 @@ def train_parametric(dataset, policy, kernel, config=None):
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    buffers = _MlpBuffers(model.weights, len(X))  # this fit's pass arrays, reused every epoch
     for epoch in range(1, config.epochs + 1):
-        _, flat_grad = mlp_forward_backward(model, X, loss_gradient)
+        _, flat_grad = mlp_forward_backward(model, X, loss_gradient, _buffers=buffers)
         m1 = beta1 * m1 + (1.0 - beta1) * flat_grad
         m2 = beta2 * m2 + (1.0 - beta2) * flat_grad**2
         hat1 = m1 / (1.0 - beta1**epoch)
@@ -394,6 +430,7 @@ def train_parametric(dataset, policy, kernel, config=None):
         if not np.all(np.isfinite(theta)):
             raise FloatingPointError(f"parameters became non-finite at epoch {epoch}")
         model.set_flat_parameters(theta)
+    del buffers  # freed before log_weights allocates its own
 
     logw = model.log_weights(X)
     w = np.exp(logw) / np.exp(logw + log_counts).sum()

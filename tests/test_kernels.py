@@ -1,5 +1,6 @@
 """Kernels, bandwidth selection, Gram-block assembly, kernel transforms."""
 
+import hashlib
 import tracemalloc
 from dataclasses import fields
 
@@ -601,6 +602,26 @@ def test_smoothed_chain_unmatched_rows_restart_without_ridge():
         smoothed_transition_matrix(ds, pol, DeltaKernel(2), ridge=-1e-6)
 
 
+@pytest.mark.parametrize("counts, ridge, message", [
+    ([0.0, 0.0, 0.0, 0.0], 0.0, "counts must have a positive sum"),
+    ([np.nan, 1.0, 1.0, 1.0], 0.0, "counts must be finite"),
+    ([1.0, -1.0, 1.0, 1.0], 0.0, "counts must be non-negative"),
+    ([1.0, 1.0, 1.0], 0.0, r"counts has shape \(3,\), the dataset has 4 rows; pass one"),
+    (None, np.nan, "ridge must be finite and non-negative, got nan"),
+    (None, np.inf, "ridge must be finite and non-negative, got inf"),
+])
+def test_smoothed_chain_rejects_bad_counts_and_ridge(counts, ridge, message):
+    ds = type(tabular_dataset())(
+        states=np.array([0, 1, 1, 2]),
+        actions=np.array([0, 1, 0, 1]),
+        rewards=np.zeros(4),
+        next_states=np.array([1, 2, 0, 1]),
+    )
+    with pytest.raises(ValueError, match=message):
+        smoothed_transition_matrix(ds, UniformPolicy(2), DeltaKernel(2), ridge=ridge,
+                                   counts=counts)
+
+
 def test_smoothed_chain_counts_collapse_duplicates():
     # compressed representation with counts == expanded dataset, row-wise
     from bbope.weights import compress_tabular
@@ -639,6 +660,54 @@ def test_smoothed_chain_far_successor_restarts_at_the_anchors(dtype):
     near = type(ds)(ds.states, ds.actions, ds.rewards, np.array([0.1, 0.2, 0.3, 0.4]))
     P_near = smoothed_transition_matrix(near, UniformPolicy(2), kernel, ridge=1e-6, dtype=dtype)
     assert np.array_equal(P[:3], P_near[:3])
+
+
+def chain_digest(P):
+    h = hashlib.sha256()
+    h.update(f"{P.dtype.str}{P.shape}".encode())
+    h.update(np.ascontiguousarray(P).tobytes())
+    return h.hexdigest()
+
+
+# the Gaussian chain on 2 100 continuous rows whose last successor lies far
+# from every logged state, per (block dtype, row block): 3 and 7 row blocks.
+# The kernel blocks are matrix products, so the digests hold for one BLAS
+# build and thread count, and differ between row block sizes.
+CHAIN_DIGESTS = {
+    ("float64", 1024): "6804b5e502ae8d0ac6d18fa1d64a2b2b54c327c20edf9f985edc5734c27b3914",
+    ("float64", 300): "2a52e6af724ff878002ba52e12e938e96c7ae04d9518d7fd497f80b8234db33f",
+    ("float32", 1024): "089558a5e81359f4b6f5854e0af628e8f995872956704210d34d152887b0d068",
+    ("float32", 300): "ecc5188dde066f544e1bd141226771432c66bb07af2704f5be08861c9961ee7e",
+}
+
+
+@pytest.mark.parametrize("dtype,block", sorted(CHAIN_DIGESTS))
+def test_smoothed_chain_bytes_are_pinned(dtype, block):
+    """Any change to the chain's float operations or their order shows here."""
+    ds = continuous_dataset(2100, seed=24, dim=3)
+    ds.next_states[-1] = 40.0  # no kernel mass at any anchor: the row restarts
+    kernel = RbfKernel(bandwidth=0.8, action_scale=0.7, num_actions=2)
+    P = smoothed_transition_matrix(ds, tilted_policy(), kernel, dtype=getattr(np, dtype),
+                                   block=block)
+    assert np.all(P[-1, :-1] == P[-1, 0])  # the restart row, and the ridge on its diagonal
+    assert chain_digest(P) == CHAIN_DIGESTS[dtype, block]
+
+
+def test_smoothed_exact_match_chain_bytes_are_pinned():
+    """The exact-match chain with compressed counts on a log that leaves
+    some (state, action) pairs unlogged, so some successor actions match
+    no anchor."""
+    from bbope.weights import compress_tabular
+
+    mdp = random_tabular_mdp(12, 3, seed=5)
+    table = make_rng(6).uniform(0.1, 1.0, size=(12, 3))
+    table[::3, 2] = 0.0  # the behavior never plays action 2 in every third state
+    behavior = TabularPolicy(table / table.sum(axis=1, keepdims=True))
+    ds = sample_dataset(mdp, behavior, 8, 25, seed=7)
+    compressed, counts, _ = compress_tabular(ds)
+    P = smoothed_transition_matrix(compressed, random_policy(12, 3, seed=8), DeltaKernel(3),
+                                   counts=counts)
+    assert chain_digest(P) == "0b7888afc8099090c0aa548fa61c684873d7f66d8d90ba92ef3c213523b6290b"
 
 
 def test_smoothed_chain_rejects_other_kernels():

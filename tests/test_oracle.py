@@ -68,6 +68,17 @@ def test_stationary_raises_on_iteration_cap():
     assert err.value.residual > 1e-13
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative"])
+def test_stationary_stops_at_the_first_non_finite_iterate(bad):
+    P = np.full((300, 300), 1.0 / 300)
+    if bad == "negative":
+        P = -np.eye(300)  # (I + P) / 2 maps every vector to zero
+    else:
+        P[17, 4] = float(bad)
+    with pytest.raises(FloatingPointError, match="at iteration 1; P must be finite"):
+        stationary_of_matrix(P, max_iter=100_000)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
 def test_stationary_of_matrix_rejects_a_non_square_matrix(shape):
     with pytest.raises(ValueError, match=rf"square; got shape {re.escape(str(shape))}"):

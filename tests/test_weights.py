@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,10 @@ from bbope.weights import (
     solve_tabular,
     train_parametric,
 )
+
+import mlp_reference
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def synthetic_matrices(sym):
@@ -457,6 +465,70 @@ def test_mlp_loss_gradient_matches_finite_differences():
     model.set_flat_parameters(theta)
 
 
+def extreme_mlp(n, seed):
+    """An MLP and n inputs whose pre-activations include exact zeros, +-800
+    and moderate values of both signs, in every hidden layer."""
+    rng = make_rng(seed)
+    model = MlpWeightModel.create(4, hidden=(30, 20, 10), seed=seed)
+    X = rng.normal(size=(n, 4)) * np.array([300.0, 1.0, 2.0, 0.5])
+    X[0] = [800.0, 0.7, -1.3, 0.2]
+    layers = []
+    for i, (W, b) in enumerate(model.weights):
+        W = rng.normal(size=W.shape)
+        b = rng.normal(size=b.shape)
+        if i < len(model.weights) - 1:
+            W[:, :2] = 0.0
+            b[:2] = [0.0, -0.0]  # two exactly zero pre-activations
+            # a large positive pre-activation and its mirror: past layer 0 the
+            # inputs include 0.5, 0.5 and ~1, so these reach +-800 on every row
+            W[:, 2] = 1.0 if i == 0 else 400.0
+            W[:, 3] = -W[:, 2]
+            if i == 0:  # X[:, 0] feeds only these two
+                W[1:, 2:4] = 0.0
+                W[0, 4:] = 0.0
+            b[2:4] = 0.0  # row 0 of layer 0 sits at exactly +-800
+        layers.append((W, b))
+    model.weights = layers
+    return model, X, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_mlp_pass_matches_the_reference_to_the_bit(n):
+    model, X, upstream = extreme_mlp(n, seed=40 + n)
+    acts, want_logw = mlp_reference.forward(model.weights, X)
+    for a, (W, b) in zip(acts[:-2], model.weights):  # the reference is not vacuous
+        z = a @ W + b
+        assert np.any(z == 0.0) and z.max() >= 800.0 and z.min() <= -800.0
+        assert np.any((z > 0.0) & (z < 5.0)) and np.any((z < 0.0) & (z > -5.0))
+    _, want_grad = mlp_reference.forward_backward(model.weights, X, lambda _: upstream)
+    seen = []
+    logw, grad = mlp_forward_backward(model, X, lambda lw: seen.append(lw.copy()) or upstream)
+    assert np.array_equal(seen[0], want_logw)
+    assert np.array_equal(logw, want_logw)
+    assert np.array_equal(model.log_weights(X), want_logw)
+    assert np.array_equal(grad, want_grad)
+
+
+def test_sigmoid_matches_the_reference_at_signed_zeros_and_extremes():
+    z = np.array([0.0, -0.0, 800.0, -800.0, 745.5, -745.5, 36.8, -36.8, 1e-300, -1e-300,
+                  0.3, -0.3, np.inf, -np.inf])
+    want = mlp_reference.sigmoid(z)
+    assert np.array_equal(weights._sigmoid(z.copy(), np.empty_like(z)), want)
+    assert want[1] == 0.5 and want[3] == 0.0 and want[2] == 1.0  # the reference is not vacuous
+
+
+def test_log_weights_inside_a_pass_leaves_the_pass_alone():
+    model, X, upstream = extreme_mlp(7, seed=60)
+    plain = mlp_forward_backward(model, X, lambda _: upstream)
+
+    def nosy(_):
+        model.log_weights(X[::-1])  # a second forward pass in the middle of this one
+        return upstream
+
+    nested = mlp_forward_backward(model, X, nosy)
+    assert np.array_equal(nested[0], plain[0]) and np.array_equal(nested[1], plain[1])
+
+
 # ---------------------------------------------------------------------------
 # train_parametric
 
@@ -490,6 +562,56 @@ def test_training_runs_one_forward_pass_per_epoch(monkeypatch):
     cfg = OptimizerConfig(method="sgd_adamlike", epochs=7)
     train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
     assert calls == ["mlp_forward_backward"] * 7 + ["log_weights"]
+
+
+def fit_digest(seed, n):
+    """sha-256 of a short fit's weights, loss trace and parameters."""
+    ds, kernel, _ = continuous_instance(seed, n=n)
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=20, seed=3)
+    w, model, info = train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    h = hashlib.sha256()
+    for arr in (w, info["loss_trace"], model.flat_parameters()):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_consecutive_fits_at_different_n_match_fresh_processes():
+    here = [fit_digest(41, 12), fit_digest(42, 9)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                                      env.get("PYTHONPATH")]))
+    fresh = [
+        subprocess.run([sys.executable, "-c",
+                        f"from test_weights import fit_digest; print(fit_digest({seed}, {n}))"],
+                       env=env, capture_output=True, text=True, check=True, timeout=120).stdout.strip()
+        for seed, n in ((41, 12), (42, 9))
+    ]
+    assert here == fresh
+
+
+def test_training_caches_nothing_on_the_model():
+    ds, kernel, _ = continuous_instance(44, n=8)
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=3)
+    _, model, _ = train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    assert sorted(vars(model)) == ["input_dim", "weights"]
+
+
+def test_log_weights_inside_a_training_pass_changes_nothing(monkeypatch):
+    ds, kernel, _ = continuous_instance(43, n=11)
+    cfg = OptimizerConfig(method="sgd_adamlike", epochs=15, seed=5)
+    w_plain, _, info_plain = train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    original = weights.mlp_forward_backward
+
+    def nosy(model, X, upstream_of, **kwargs):
+        def upstream(logw):
+            model.log_weights(X[::-1])  # a second forward pass in the middle of this one
+            return upstream_of(logw)
+        return original(model, X, upstream, **kwargs)
+
+    monkeypatch.setattr(weights, "mlp_forward_backward", nosy)
+    w, _, info = train_parametric(ds, UniformPolicy(2), kernel, config=cfg)
+    assert np.array_equal(w, w_plain)
+    assert np.array_equal(info["loss_trace"], info_plain["loss_trace"])
 
 
 @pytest.mark.parametrize("batch_pairs, estimate, final_loss", [
